@@ -636,13 +636,13 @@ let serve_request ~pass i =
 let serve_batch_lines pass = List.init serve_batchsize (serve_request ~pass)
 
 let run_serve ~jobs ~warm () =
-  let t = Serve.create ~jobs ~cache_capacity:(2 * serve_batchsize) () in
-  if warm then ignore (Serve.handle_batch t (serve_batch_lines 0));
+  let t = Serve_shard.create ~jobs ~cache_capacity:(2 * serve_batchsize) () in
+  if warm then ignore (Serve_shard.handle_batch t (serve_batch_lines 0));
   for p = 1 to serve_passes do
     let p = if warm then 0 else p in
-    ignore (Sys.opaque_identity (Serve.handle_batch t (serve_batch_lines p)))
+    ignore (Sys.opaque_identity (Serve_shard.handle_batch t (serve_batch_lines p)))
   done;
-  Serve.shutdown t
+  Serve_shard.shutdown t
 
 let section_serve () =
   header "SERVE  scheduling-as-a-service (pasched.serve)";
@@ -663,49 +663,33 @@ let section_serve () =
     ];
   (* cache behaviour sanity: a warm section's measured passes are all
      hits, and replies are independent of the pool width *)
-  let t1 = Serve.create ~jobs:1 ~cache_capacity:(2 * serve_batchsize) () in
-  let t4 = Serve.create ~jobs:4 ~cache_capacity:(2 * serve_batchsize) () in
-  let cold1 = Serve.handle_batch t1 (serve_batch_lines 0) in
-  let cold4 = Serve.handle_batch t4 (serve_batch_lines 0) in
-  let warm1 = Serve.handle_batch t1 (serve_batch_lines 0) in
-  let st = Serve.stats t1 in
-  Serve.shutdown t1;
-  Serve.shutdown t4;
+  let t1 = Serve_shard.create ~jobs:1 ~cache_capacity:(2 * serve_batchsize) () in
+  let t4 = Serve_shard.create ~jobs:4 ~cache_capacity:(2 * serve_batchsize) () in
+  let cold1 = Serve_shard.handle_batch t1 (serve_batch_lines 0) in
+  let cold4 = Serve_shard.handle_batch t4 (serve_batch_lines 0) in
+  let warm1 = Serve_shard.handle_batch t1 (serve_batch_lines 0) in
+  let st = Serve_shard.stats t1 in
+  Serve_shard.shutdown t1;
+  Serve_shard.shutdown t4;
   Printf.printf "\nwarm pass served from cache: %b (hits=%d misses=%d)\n"
-    (st.Serve.cache.Serve_cache.hits = serve_batchsize)
-    st.Serve.cache.Serve_cache.hits st.Serve.cache.Serve_cache.misses;
+    (st.Serve_shard.cache.Serve_cache.hits = serve_batchsize)
+    st.Serve_shard.cache.Serve_cache.hits st.Serve_shard.cache.Serve_cache.misses;
   Printf.printf "warm replies byte-identical to cold: %b\n" (cold1 = warm1);
   Printf.printf "replies jobs=1 equal jobs=4: %b\n" (cold1 = cold4)
 
 (* ---------------------------------------------------------------- *)
-(* SERVE_SHARD: the sharded front end (PR9).  Machine-readable
+(* Admission control and sustained load (PR9).  Machine-readable
    sections for the BENCH_PR9.json artifact:
 
-     serve_shard_{1,2,4}  the run_serve workload (4 cold passes of a
-                          64-request flow-budget batch, plus one warm
-                          repeat) through Serve_shard at 1/2/4 shards —
-                          shard routing and per-shard caches must not
-                          cost throughput on a single box
-     serve_shed           the same batches under --max-inflight 8, so
-                          most of every batch sheds with a typed busy
-                          reply — the overload path priced
-     serve_soak_100k      10^5 emitted-trace requests through 2 shards
-                          with admission control: latency percentiles,
-                          shed counts, and liveness asserted *)
-
-let run_serve_shard ~shards () =
-  let t = Serve_shard.create ~jobs:1 ~shards ~cache_capacity:(2 * serve_batchsize) () in
-  for p = 1 to serve_passes do
-    ignore (Sys.opaque_identity (Serve_shard.handle_batch t (serve_batch_lines p)))
-  done;
-  (* one warm repeat: the cache must answer regardless of shard count *)
-  ignore (Sys.opaque_identity (Serve_shard.handle_batch t (serve_batch_lines serve_passes)));
-  Serve_shard.shutdown t
+     serve_shed           the run_serve batches under --max-inflight 8,
+                          so most of every batch sheds with a typed
+                          busy reply — the overload path priced
+     serve_soak_100k      10^5 emitted-trace requests with admission
+                          control: latency percentiles, shed counts,
+                          and liveness asserted *)
 
 let run_serve_shed () =
-  let t =
-    Serve_shard.create ~jobs:1 ~shards:2 ~max_inflight:8 ~cache_capacity:(2 * serve_batchsize) ()
-  in
+  let t = Serve_shard.create ~jobs:1 ~max_inflight:8 ~cache_capacity:(2 * serve_batchsize) () in
   for p = 1 to serve_passes do
     ignore (Sys.opaque_identity (Serve_shard.handle_batch t (serve_batch_lines p)))
   done;
@@ -745,14 +729,9 @@ let run_serve_soak_100k () =
   let lines = Lazy.force soak_request_lines in
   let n = List.length lines in
   if n < 100_000 then failwith "serve_soak: trace emitted fewer than 10^5 requests";
-  let t = Serve_shard.create ~jobs:1 ~shards:2 ~max_inflight:24 ~cache_capacity:1024 () in
+  let t = Serve_shard.create ~jobs:1 ~max_inflight:24 ~cache_capacity:1024 () in
   let metrics = Streaming_metrics.create () in
   let ok = ref 0 and busy = ref 0 and err = ref 0 in
-  let status_of reply =
-    match Obs_json.of_string reply with
-    | Ok doc -> Option.bind (Obs_json.member "status" doc) Obs_json.to_string_val
-    | Error _ -> None
-  in
   let t0 = Unix.gettimeofday () in
   let window = 64 in
   let rec drive = function
@@ -768,7 +747,7 @@ let run_serve_soak_100k () =
       let now = Unix.gettimeofday () in
       List.iter
         (fun r ->
-          (match status_of r with
+          (match Serve_protocol.status_of r with
           | Some "ok" -> incr ok
           | Some "busy" -> incr busy
           | _ -> incr err);
@@ -778,7 +757,9 @@ let run_serve_soak_100k () =
   in
   drive lines;
   let wall = Unix.gettimeofday () -. t0 in
-  let alive = status_of (Serve_shard.handle_line t {|{"op":"ping"}|}) = Some "ok" in
+  let alive =
+    Serve_protocol.status_of (Serve_shard.handle_line t {|{"op":"ping"}|}) = Some "ok"
+  in
   let st = Serve_shard.stats t in
   Serve_shard.shutdown t;
   let s = Streaming_metrics.snapshot metrics in
@@ -796,53 +777,6 @@ let run_serve_soak_100k () =
     failwith "serve_soak: p99 latency is not finite";
   if not alive then failwith "serve_soak: daemon dead after the soak"
 
-let section_serve_shard () =
-  header "SERVE_SHARD  multi-shard dispatch, admission control, soak (PR9)";
-  Builtin.init ();
-  let solves = serve_batchsize * (serve_passes + 1) in
-  Printf.printf "batch=%d passes=%d+1 warm   jump-hash routing on the canonical key\n\n"
-    serve_batchsize serve_passes;
-  Printf.printf "%-26s %-12s %-14s\n" "configuration" "seconds" "requests/sec";
-  List.iter
-    (fun shards ->
-      let t = time_best ~reps:2 (run_serve_shard ~shards) in
-      Printf.printf "%-26s %-12.4f %-14.0f\n"
-        (Printf.sprintf "shards=%d" shards)
-        t
-        (float_of_int solves /. t))
-    [ 1; 2; 4 ];
-  (* shard transparency: byte-identical replies at every shard count,
-     repeats hit the cache *)
-  let run_replies shards =
-    let t = Serve_shard.create ~jobs:1 ~shards ~cache_capacity:(2 * serve_batchsize) () in
-    let cold = Serve_shard.handle_batch t (serve_batch_lines 0) in
-    let warm = Serve_shard.handle_batch t (serve_batch_lines 0) in
-    let st = Serve_shard.stats t in
-    Serve_shard.shutdown t;
-    (cold, warm, st)
-  in
-  let c1, w1, st1 = run_replies 1 in
-  let c4, w4, st4 = run_replies 4 in
-  Printf.printf "\nreplies shards=1 equal shards=4: %b\n" (c1 = c4 && w1 = w4);
-  Printf.printf "warm pass served from cache at both counts: %b (hits %d and %d)\n"
-    (st1.Serve_shard.cache.Serve_cache.hits = serve_batchsize
-    && st4.Serve_shard.cache.Serve_cache.hits = serve_batchsize)
-    st1.Serve_shard.cache.Serve_cache.hits st4.Serve_shard.cache.Serve_cache.hits;
-  (* snapshot round-trip: persist at 1 shard, warm at 4 *)
-  let file = Filename.temp_file "pasched_bench" ".cache" in
-  let t1 = Serve_shard.create ~jobs:1 ~shards:1 ~cache_capacity:256 ~cache_file:file () in
-  ignore (Serve_shard.handle_batch t1 (serve_batch_lines 0));
-  Serve_shard.shutdown t1;
-  let t4 = Serve_shard.create ~jobs:1 ~shards:4 ~cache_capacity:256 ~cache_file:file () in
-  ignore (Serve_shard.handle_batch t4 (serve_batch_lines 0));
-  let warmed = (Serve_shard.stats t4).Serve_shard.cache.Serve_cache.hits in
-  Serve_shard.shutdown t4;
-  Sys.remove file;
-  Printf.printf "snapshot 1 shard -> warm 4 shards: %d/%d hits: %b\n" warmed serve_batchsize
-    (warmed = serve_batchsize);
-  if c1 <> c4 || w1 <> w4 then failwith "serve_shard: replies differ across shard counts";
-  if warmed <> serve_batchsize then failwith "serve_shard: snapshot failed to warm the restart"
-
 (* ---------------------------------------------------------------- *)
 (* SERVE_RECOVERY: crash-safe persistence (PR10).  Machine-readable
    sections for the BENCH_PR10.json artifact:
@@ -855,7 +789,7 @@ let section_serve_shard () =
                             Serve_shard, ended by abort (no
                             compaction) — prices the per-batch
                             append+flush overhead against the
-                            unjournaled serve_shard sections
+                            unjournaled serve_cold_jobs1 section
      serve_recovery_warm    restart over exactly that crash debris:
                             replay the journal, serve the same batch —
                             every request must hit the recovered cache,
@@ -899,10 +833,7 @@ let run_serve_recovery_replay () =
 
 let run_serve_recovery_cold () =
   with_recovery_store @@ fun path ->
-  let t =
-    Serve_shard.create ~jobs:1 ~shards:2 ~cache_capacity:(2 * serve_batchsize)
-      ~cache_file:path ()
-  in
+  let t = Serve_shard.create ~jobs:1 ~cache_capacity:(2 * serve_batchsize) ~cache_file:path () in
   for p = 1 to serve_passes do
     ignore (Sys.opaque_identity (Serve_shard.handle_batch t (serve_batch_lines p)))
   done;
@@ -910,17 +841,11 @@ let run_serve_recovery_cold () =
 
 let run_serve_recovery_warm () =
   with_recovery_store @@ fun path ->
-  let t =
-    Serve_shard.create ~jobs:1 ~shards:2 ~cache_capacity:(2 * serve_batchsize)
-      ~cache_file:path ()
-  in
+  let t = Serve_shard.create ~jobs:1 ~cache_capacity:(2 * serve_batchsize) ~cache_file:path () in
   ignore (Serve_shard.handle_batch t (serve_batch_lines 0));
   Serve_shard.abort t;
   (* the restart: journal-only recovery (abort never checkpoints) *)
-  let t2 =
-    Serve_shard.create ~jobs:1 ~shards:2 ~cache_capacity:(2 * serve_batchsize)
-      ~cache_file:path ()
-  in
+  let t2 = Serve_shard.create ~jobs:1 ~cache_capacity:(2 * serve_batchsize) ~cache_file:path () in
   (match Serve_shard.journal_stats t2 with
   | Some js when js.Serve_journal.replayed = serve_batchsize -> ()
   | Some js ->
@@ -1220,10 +1145,6 @@ let sections =
     ("serve_cold_jobs4", run_serve ~jobs:4 ~warm:false);
     ("serve_warm_jobs1", run_serve ~jobs:1 ~warm:true);
     ("serve_warm_jobs4", run_serve ~jobs:4 ~warm:true);
-    ("serve_shard", section_serve_shard);
-    ("serve_shard_1", run_serve_shard ~shards:1);
-    ("serve_shard_2", run_serve_shard ~shards:2);
-    ("serve_shard_4", run_serve_shard ~shards:4);
     ("serve_shed", run_serve_shed);
     ("serve_soak_100k", run_serve_soak_100k);
     ("serve_recovery_replay", run_serve_recovery_replay);

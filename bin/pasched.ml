@@ -1169,15 +1169,14 @@ let fuzz_cmd =
 (* ---------- serve: the long-running solve daemon ---------- *)
 
 let serve_cmd =
-  let run obs par_jobs (policy, inject) socket cache_capacity max_batch shards max_inflight
-      cache_file fsync compact_every breaker_threshold breaker_cooldown backlog =
+  let run obs par_jobs (policy, inject) socket cache_capacity max_batch max_inflight cache_file
+      fsync compact_every breaker_threshold breaker_cooldown backlog =
     match apply_par_jobs par_jobs with
     | exception Invalid_argument msg -> `Error (false, msg)
     | () ->
       if inject <> None then `Error (false, "serve does not support --inject")
       else if cache_capacity < 1 then `Error (false, "--cache must be >= 1")
       else if max_batch < 1 then `Error (false, "--max-batch must be >= 1")
-      else if shards < 1 then `Error (false, "--shards must be >= 1")
       else if max_inflight < 0 then `Error (false, "--max-inflight must be >= 0")
       else if compact_every < 0 then `Error (false, "--compact-every must be >= 0")
       else if breaker_threshold < 0 then `Error (false, "--breaker-threshold must be >= 0")
@@ -1193,13 +1192,12 @@ let serve_cmd =
               { Guard_breaker.threshold = breaker_threshold; cooldown_s = breaker_cooldown }
         in
         let t =
-          Serve_shard.create ?jobs:par_jobs ~shards ~cache_capacity:cache_capacity ~max_inflight
-            ~policy ?cache_file ~fsync ~compact_every ~breaker ()
+          Serve_shard.create ?jobs:par_jobs ~cache_capacity ~max_inflight ~policy ?cache_file
+            ~fsync ~compact_every ~breaker ()
         in
-        let h = Serve_shard.handler t in
         (match socket with
-        | None -> Serve.run_pipe_handler ~max_batch h
-        | Some path -> Serve.run_socket_handler ~max_batch ~backlog ~path h);
+        | None -> Serve.run_pipe ~max_batch t
+        | Some path -> Serve.run_socket ~max_batch ~backlog ~path t);
         `Ok ()
   in
   let socket =
@@ -1223,23 +1221,13 @@ let serve_cmd =
       & info [ "max-batch" ] ~docv:"N"
           ~doc:"Largest request batch dispatched to the domain pool at once (default 32).")
   in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Shared-nothing shards (default 1).  Each shard owns a private LRU cache and domain-pool \
-             slice; requests route by a jump consistent hash of the canonical instance key, so \
-             repeats always land on the shard that cached them and replies are byte-identical for \
-             every shard count.")
-  in
   let max_inflight =
     Arg.(
       value & opt int 0
       & info [ "max-inflight" ] ~docv:"N"
           ~doc:
-            "Admission control: bound each shard's in-flight solves per batch at $(docv); excess \
-             requests are shed with a typed busy reply (0 = unbounded, the default).")
+            "Admission control: bound the in-flight solves per batch at $(docv); excess requests \
+             are shed with a typed busy reply (0 = unbounded, the default).")
   in
   let cache_file =
     Arg.(
@@ -1250,8 +1238,7 @@ let serve_cmd =
             "Crash-safe cache persistence rooted at $(docv): every insert is appended to a \
              CRC-framed write-ahead journal ($(docv).journal, flushed once per batch), replayed \
              over the checkpoint at startup (torn or corrupt lines skipped), and periodically \
-             compacted into an atomically rewritten checkpoint.  The store survives a change of \
-             $(b,--shards) — entries re-route on load.")
+             compacted into an atomically rewritten checkpoint.")
   in
   let fsync =
     Arg.(
@@ -1296,14 +1283,14 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Long-running solve service: newline-delimited JSON requests over stdin or a Unix \
-          socket, answered from sharded LRU caches backed by persistent domain pools; \
-          crash-safe via a write-ahead cache journal and self-healing via per-solver circuit \
-          breakers.")
+          socket, answered by one session (an LRU cache backed by a persistent domain pool, with \
+          admission control); crash-safe via a write-ahead cache journal and self-healing via \
+          per-solver circuit breakers.")
     Term.(
       ret
         (const run $ obs_term
         $ par_jobs_term [ "jobs"; "j" ]
-        $ guard_term $ socket $ cache $ max_batch $ shards $ max_inflight $ cache_file $ fsync
+        $ guard_term $ socket $ cache $ max_batch $ max_inflight $ cache_file $ fsync
         $ compact_every $ breaker_threshold $ breaker_cooldown $ backlog))
 
 (* one connect / send-all / read-all round over a Unix socket; raises
@@ -1464,13 +1451,12 @@ let client_cmd =
     Term.(ret (const run $ socket $ file $ reqs $ retries $ backoff_ms))
 
 let soak_cmd =
-  let run obs par_jobs socket file shards max_inflight cache_capacity cache_file window retries
-      backoff_ms chaos kill_at =
+  let run obs par_jobs socket file max_inflight cache_capacity cache_file window retries backoff_ms
+      chaos kill_at =
     match apply_par_jobs par_jobs with
     | exception Invalid_argument msg -> `Error (false, msg)
     | () ->
       if window < 1 then `Error (false, "--window must be >= 1")
-      else if shards < 1 then `Error (false, "--shards must be >= 1")
       else if max_inflight < 0 then `Error (false, "--max-inflight must be >= 0")
       else if retries < 0 then `Error (false, "--retries must be >= 0")
       else if backoff_ms <= 0.0 then `Error (false, "--backoff-ms must be > 0")
@@ -1513,19 +1499,10 @@ let soak_cmd =
         let ok = ref 0 and busy = ref 0 and err = ref 0 in
         let t0 = Unix.gettimeofday () in
         let classify reply =
-          match Obs_json.of_string reply with
-          | Ok doc -> (
-            match Option.bind (Obs_json.member "status" doc) Obs_json.to_string_val with
-            | Some "ok" -> incr ok
-            | Some "busy" | Some "degraded" -> incr busy
-            | _ -> incr err)
-          | Error _ -> incr err
-        in
-        let status_ok reply =
-          match Obs_json.of_string reply with
-          | Ok doc ->
-            Option.bind (Obs_json.member "status" doc) Obs_json.to_string_val = Some "ok"
-          | Error _ -> false
+          match Serve_protocol.status_of reply with
+          | Some "ok" -> incr ok
+          | Some ("busy" | "degraded") -> incr busy
+          | _ -> incr err
         in
         (* window-granular latency: every request in a pipelined window
            shares the window's send -> last-reply round trip *)
@@ -1609,7 +1586,7 @@ let soak_cmd =
             let cf = Option.get cache_file in
             let args =
               [ Sys.executable_name; "serve"; "--socket"; path; "--cache-file"; cf;
-                "--shards"; string_of_int shards; "--cache"; string_of_int cache_capacity ]
+                "--cache"; string_of_int cache_capacity ]
               @ (if max_inflight > 0 then [ "--max-inflight"; string_of_int max_inflight ]
                  else [])
             in
@@ -1689,8 +1666,10 @@ let soak_cmd =
               if chaos && not !killed then
                 List.iter2
                   (fun line reply ->
-                    if status_ok reply && not (Hashtbl.mem first_ok line) then
-                      Hashtbl.replace first_ok line reply)
+                    if
+                      Serve_protocol.status_of reply = Some "ok"
+                      && not (Hashtbl.mem first_ok line)
+                    then Hashtbl.replace first_ok line reply)
                   w replies;
               observe sent_at replies)
             windows;
@@ -1732,11 +1711,9 @@ let soak_cmd =
           end;
           close_conn ()
         | None ->
-          (* in-process mode: the same sharded front end the daemon
-             runs, driven directly — no transport in the numbers *)
-          let t =
-            Serve_shard.create ?jobs:par_jobs ~shards ~cache_capacity ~max_inflight ?cache_file ()
-          in
+          (* in-process mode: the same session the daemon runs, driven
+             directly — no transport in the numbers *)
+          let t = Serve_shard.create ?jobs:par_jobs ~cache_capacity ~max_inflight ?cache_file () in
           Fun.protect
             ~finally:(fun () -> Serve_shard.shutdown t)
             (fun () ->
@@ -1763,7 +1740,7 @@ let soak_cmd =
       & info [ "socket" ] ~docv:"PATH"
           ~doc:
             "Drive a running $(b,pasched serve) over its Unix socket.  Without this flag the soak \
-             runs an in-process sharded front end instead (see $(b,--shards)).")
+             drives an in-process serve session instead.")
   in
   let file =
     Arg.(
@@ -1772,21 +1749,16 @@ let soak_cmd =
       & info [ "file" ] ~docv:"PATH"
           ~doc:"Read request lines from $(docv) ('-' = stdin, the default).")
   in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N" ~doc:"In-process mode: shard count (default 1).")
-  in
   let max_inflight =
     Arg.(
       value & opt int 0
       & info [ "max-inflight" ] ~docv:"N"
-          ~doc:"In-process mode: per-shard admission bound (0 = unbounded).")
+          ~doc:"In-process mode: per-batch admission bound (0 = unbounded).")
   in
   let cache =
     Arg.(
       value & opt int 256
-      & info [ "cache" ] ~docv:"N" ~doc:"In-process mode: per-shard LRU capacity (default 256).")
+      & info [ "cache" ] ~docv:"N" ~doc:"In-process mode: LRU capacity (default 256).")
   in
   let cache_file =
     Arg.(
@@ -1836,14 +1808,14 @@ let soak_cmd =
   Cmd.v
     (Cmd.info "soak"
        ~doc:
-         "Soak a serve daemon (or an in-process sharded front end) with emitted request traces and \
+         "Soak a serve daemon (or an in-process serve session) with emitted request traces and \
           report p50/p95/p99 request latency, shed counts and throughput.  With $(b,--chaos), run \
           a kill-recovery drill against the crash-safe journal.")
     Term.(
       ret
         (const run $ obs_term
         $ par_jobs_term [ "jobs"; "j" ]
-        $ socket $ file $ shards $ max_inflight $ cache $ cache_file $ window $ retries
+        $ socket $ file $ max_inflight $ cache $ cache_file $ window $ retries
         $ backoff_ms $ chaos $ kill_at))
 
 let () =

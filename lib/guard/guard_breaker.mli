@@ -16,8 +16,8 @@
     recorded — a stream of bad requests should never open a healthy
     solver's breaker.
 
-    The registry is plain single-threaded state: the serve router
-    drives all shards from one loop, so there is nothing to lock.  The
+    The registry is plain single-threaded state: the serve session
+    drives every batch from one loop, so there is nothing to lock.  The
     clock is injectable ([~now]) so tests can walk a breaker through
     its states deterministically.
 

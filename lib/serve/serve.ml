@@ -1,180 +1,3 @@
-type t = {
-  pool : Par.Pool.t;
-  cache : Serve_cache.t;
-  policy : Guard.policy;
-  state : Serve_batch.state;
-  mutable last_inflight : int;
-  mutable requests : int;
-  mutable batches : int;
-  mutable stop : bool;
-}
-
-type stats = { cache : Serve_cache.stats; jobs : int; requests : int; batches : int }
-
-let c_requests = Obs.counter "serve.requests"
-let c_batches = Obs.counter "serve.batches"
-
-let create ?jobs ?(cache_capacity = 256) ?(policy = Guard.default) ?breaker () =
-  {
-    pool = Par.Pool.create ?jobs ();
-    cache = Serve_cache.create ~capacity:cache_capacity;
-    policy;
-    state = Serve_batch.create_state ?breaker ();
-    last_inflight = 0;
-    requests = 0;
-    batches = 0;
-    stop = false;
-  }
-
-let stats (t : t) =
-  {
-    cache = Serve_cache.stats t.cache;
-    jobs = Par.Pool.jobs t.pool;
-    requests = t.requests;
-    batches = t.batches;
-  }
-
-let stopping t = t.stop
-let shutdown t = Par.Pool.shutdown t.pool
-
-let stats_payload t =
-  let s = stats t in
-  let open Obs_json in
-  [
-    ("status", String "ok");
-    ( "stats",
-      Obj
-        [
-          ("hits", Int s.cache.Serve_cache.hits);
-          ("misses", Int s.cache.Serve_cache.misses);
-          ("evictions", Int s.cache.Serve_cache.evictions);
-          ("size", Int s.cache.Serve_cache.size);
-          ("capacity", Int s.cache.Serve_cache.capacity);
-          ("jobs", Int s.jobs);
-          ("requests", Int s.requests);
-          ("batches", Int s.batches);
-        ] );
-  ]
-
-(* same shape as the sharded daemon's health reply (one shard, no
-   journal), so clients poll either uniformly *)
-let health_payload t =
-  let open Obs_json in
-  let breaker_rows =
-    match Serve_batch.breaker_of t.state with
-    | None -> []
-    | Some br ->
-      List.map
-        (fun (name, st, failures) ->
-          Obj
-            [
-              ("solver", String name);
-              ( "state",
-                String
-                  (match st with
-                  | Guard_breaker.Closed -> "closed"
-                  | Guard_breaker.Open -> "open"
-                  | Guard_breaker.Half_open -> "half-open") );
-              ("failures", Int failures);
-            ])
-        (Guard_breaker.snapshot br)
-  in
-  let s = stats t in
-  [
-    ("status", String "ok");
-    ( "health",
-      Obj
-        [
-          ("shards", Int 1);
-          ("inflight", List [ Int t.last_inflight ]);
-          ( "cache",
-            Obj [ ("size", Int s.cache.Serve_cache.size); ("capacity", Int s.cache.Serve_cache.capacity) ] );
-          ("journal", Null);
-          ("breakers", List breaker_rows);
-        ] );
-  ]
-
-let handle_batch (t : t) lines =
-  let lines = Array.of_list lines in
-  let n = Array.length lines in
-  t.requests <- t.requests + n;
-  t.batches <- t.batches + 1;
-  Obs.add c_requests n;
-  Obs.incr c_batches;
-  let decoded = Array.map Serve_protocol.decode lines in
-  let ids =
-    Array.map
-      (function
-        | Ok (r : Serve_protocol.request) -> r.Serve_protocol.id
-        | Error (id, _) -> id)
-      decoded
-  in
-  let payloads : (string * Obs_json.t) list option array = Array.make n None in
-  let solves = ref [] in
-  Array.iteri
-    (fun i d ->
-      match d with
-      | Error (_, e) -> payloads.(i) <- Some (Serve_protocol.error_payload e)
-      | Ok { Serve_protocol.op = Serve_protocol.Solve sr; _ } -> solves := (i, sr) :: !solves
-      | Ok _ -> ())
-    decoded;
-  let solves = Array.of_list (List.rev !solves) in
-  t.last_inflight <- Array.length solves;
-  if Array.length solves > 0 then begin
-    let answers =
-      Serve_batch.run ~pool:t.pool ~cache:t.cache ~policy:t.policy ~state:t.state
-        (Array.map snd solves)
-    in
-    Array.iteri (fun k (i, _) -> payloads.(i) <- Some answers.(k)) solves
-  end;
-  (* ops answer after the batch's solves, so an in-batch "stats" (or
-     "health") observes them *)
-  Array.iteri
-    (fun i d ->
-      match d with
-      | Ok { Serve_protocol.op = Serve_protocol.Stats; _ } ->
-        payloads.(i) <- Some (stats_payload t)
-      | Ok { Serve_protocol.op = Serve_protocol.Health; _ } ->
-        payloads.(i) <- Some (health_payload t)
-      | Ok { Serve_protocol.op = Serve_protocol.Ping; _ } ->
-        payloads.(i) <- Some [ ("status", Obs_json.String "ok"); ("pong", Obs_json.Bool true) ]
-      | Ok { Serve_protocol.op = Serve_protocol.Shutdown; _ } ->
-        t.stop <- true;
-        payloads.(i) <-
-          Some [ ("status", Obs_json.String "ok"); ("stopping", Obs_json.Bool true) ]
-      | Ok { Serve_protocol.op = Serve_protocol.Solve _; _ } | Error _ -> ())
-    decoded;
-  Array.to_list
-    (Array.mapi
-       (fun i id ->
-         let payload =
-           match payloads.(i) with
-           | Some p -> p
-           | None ->
-             Serve_protocol.error_payload
-               (Guard_error.Solver_fault
-                  { solver = "serve"; exn = Failure "internal: unanswered request" })
-         in
-         Serve_protocol.reply_string ~id payload)
-       ids)
-
-let handle_line t line = match handle_batch t [ line ] with [ r ] -> r | _ -> assert false
-
-(* ---------------- transports ---------------- *)
-
-type handler = {
-  h_batch : string list -> string list;
-  h_stopping : unit -> bool;
-  h_close : unit -> unit;
-}
-
-let handler_of t =
-  {
-    h_batch = handle_batch t;
-    h_stopping = (fun () -> t.stop);
-    h_close = (fun () -> shutdown t);
-  }
-
 (* a signal landing mid-syscall must not kill the daemon or drop a
    connection: EINTR means "nothing happened, go again" for every call
    we make (no partial transfer is reported with it) *)
@@ -212,7 +35,7 @@ let take_batch ?(max_batch = 32) queue =
   in
   go 0 []
 
-let run_pipe_handler ?(max_batch = 32) h =
+let run_pipe ?(max_batch = 32) session =
   ignore_sigpipe ();
   let fd = Unix.stdin in
   let chunk = Bytes.create 65536 in
@@ -221,7 +44,9 @@ let run_pipe_handler ?(max_batch = 32) h =
   let eof = ref false in
   (try
      while
-       not (h.h_stopping () || (!eof && Queue.is_empty queue && Buffer.length carry = 0))
+       not
+         (Serve_shard.stopping session
+         || (!eof && Queue.is_empty queue && Buffer.length carry = 0))
      do
        if Queue.is_empty queue && not !eof then begin
          let got = retry_eintr (fun () -> Unix.read fd chunk 0 (Bytes.length chunk)) in
@@ -242,13 +67,11 @@ let run_pipe_handler ?(max_batch = 32) h =
            (fun reply ->
              print_string reply;
              print_newline ())
-           (h.h_batch batch);
+           (Serve_shard.handle_batch session batch);
          flush stdout
      done
    with End_of_file -> ());
-  h.h_close ()
-
-let run_pipe ?max_batch t = run_pipe_handler ?max_batch (handler_of t)
+  Serve_shard.shutdown session
 
 (* per-connection state: inbound carry + line queue, outbound pending
    bytes with a consumed-prefix cursor (flushed via the select writable
@@ -264,7 +87,7 @@ type conn = {
    rather than let its buffer grow without bound *)
 let max_pending_out = 1 lsl 26
 
-let run_socket_handler ?(max_batch = 32) ?(backlog = 16) ~path h =
+let run_socket ?(max_batch = 32) ?(backlog = 16) ~path session =
   ignore_sigpipe ();
   if Sys.file_exists path then Unix.unlink path;
   let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -313,7 +136,7 @@ let run_socket_handler ?(max_batch = 32) ?(backlog = 16) ~path h =
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> compact c
     | exception Unix.Unix_error _ -> drop fd
   in
-  while not (h.h_stopping ()) do
+  while not (Serve_shard.stopping session) do
     let reads = srv :: Hashtbl.fold (fun fd _ acc -> fd :: acc) clients [] in
     let writes =
       Hashtbl.fold (fun fd c acc -> if pending c > 0 then fd :: acc else acc) clients []
@@ -358,8 +181,8 @@ let run_socket_handler ?(max_batch = 32) ?(backlog = 16) ~path h =
                   match take_batch ~max_batch c.queue with
                   | [] -> ()
                   | batch ->
-                    List.iter (enqueue fd c) (h.h_batch batch);
-                    if not (h.h_stopping ()) then serve_queued ()
+                    List.iter (enqueue fd c) (Serve_shard.handle_batch session batch);
+                    if not (Serve_shard.stopping session) then serve_queued ()
                 in
                 serve_queued ();
                 if Hashtbl.mem clients fd then flush_out fd c))
@@ -385,7 +208,4 @@ let run_socket_handler ?(max_batch = 32) ?(backlog = 16) ~path h =
     clients;
   (try Unix.close srv with Unix.Unix_error _ -> ());
   (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
-  h.h_close ()
-
-let run_socket ?max_batch ?backlog ~path t =
-  run_socket_handler ?max_batch ?backlog ~path (handler_of t)
+  Serve_shard.shutdown session

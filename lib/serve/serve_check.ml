@@ -80,11 +80,6 @@ let malformed (c : Oracle.case) =
   | Ok _ -> Oracle.Fail ("corrupted request was accepted: " ^ corrupt)
   | exception e -> Oracle.Fail ("decode raised: " ^ Printexc.to_string e)
 
-let status_of reply =
-  match Obs_json.of_string reply with
-  | Ok doc -> Option.bind (Obs_json.member "status" doc) Obs_json.to_string_val
-  | Error _ -> None
-
 let transparency c =
   let c = prepare c in
   let p =
@@ -94,17 +89,17 @@ let transparency c =
   match Engine.supporting p c.Oracle.inst with
   | [] -> Oracle.Skip "no supporting solver"
   | _ :: _ -> (
-    let t = Serve.create ~jobs:1 ~cache_capacity:8 ~policy:Guard.off () in
+    let t = Serve_shard.create ~jobs:1 ~cache_capacity:8 ~policy:Guard.off () in
     let line = Obs_json.to_string (request_json c) in
-    let cold = Serve.handle_line t line in
-    let warm = Serve.handle_line t line in
-    let st = Serve.stats t in
-    Serve.shutdown t;
+    let cold = Serve_shard.handle_line t line in
+    let warm = Serve_shard.handle_line t line in
+    let st = Serve_shard.stats t in
+    Serve_shard.shutdown t;
     if not (String.equal cold warm) then Oracle.Fail "warm reply differs from cold reply"
     else
-      match status_of cold with
+      match Serve_protocol.status_of cold with
       | None -> Oracle.Fail "reply is not a JSON object with a status"
-      | Some "ok" when st.Serve.cache.Serve_cache.hits < 1 ->
+      | Some "ok" when st.Serve_shard.cache.Serve_cache.hits < 1 ->
         Oracle.Fail "repeat of an ok reply recorded no cache hit"
       | Some _ -> (
         match Obs_json.of_string cold with
@@ -112,54 +107,6 @@ let transparency c =
         | Ok doc ->
           if String.equal (Obs_json.to_string doc) cold then Oracle.Pass
           else Oracle.Fail "reply JSON does not round-trip through the parser"))
-
-let shard_transparency c =
-  let c = prepare c in
-  let p =
-    Problem.make ~objective:Problem.Makespan ~mode:(Problem.Budget c.Oracle.energy)
-      ~alpha:c.Oracle.alpha ()
-  in
-  match Engine.supporting p c.Oracle.inst with
-  | [] -> Oracle.Skip "no supporting solver"
-  | _ :: _ ->
-    (* a deduped set: distinct budgets make distinct canonical keys *)
-    let lines =
-      List.init 4 (fun i ->
-          let open Obs_json in
-          match request_json c with
-          | Obj fields ->
-            to_string
-              (Obj
-                 (List.map
-                    (function
-                      | "budget", _ ->
-                        ("budget", Float (c.Oracle.energy *. (1.0 +. (0.25 *. float_of_int i))))
-                      | kv -> kv)
-                    fields))
-          | _ -> assert false)
-    in
-    let run shards =
-      let t = Serve_shard.create ~jobs:1 ~shards ~cache_capacity:8 ~policy:Guard.off () in
-      let replies = Serve_shard.handle_batch t lines in
-      let repeat = Serve_shard.handle_batch t lines in
-      let st = Serve_shard.stats t in
-      Serve_shard.shutdown t;
-      (replies, repeat, st)
-    in
-    let one, one_rep, st1 = run 1 in
-    let many, many_rep, st3 = run 3 in
-    if not (List.equal String.equal one many) then
-      Oracle.Fail "replies differ between 1 shard and 3 shards"
-    else if not (List.equal String.equal one_rep many_rep) then
-      Oracle.Fail "repeat replies differ between 1 shard and 3 shards"
-    else if not (List.equal String.equal one one_rep) then
-      Oracle.Fail "repeated batch not answered byte-identically"
-    else if
-      List.exists (fun r -> status_of r = Some "ok") one
-      && (st1.Serve_shard.cache.Serve_cache.hits < 1
-         || st3.Serve_shard.cache.Serve_cache.hits < 1)
-    then Oracle.Fail "repeated batch recorded no cache hit at some shard count"
-    else Oracle.Pass
 
 (* journal recovery under randomized crash debris: whatever the
    corruption — torn tail, bit flip, duplicated line, zero-length file
@@ -254,10 +201,6 @@ let props =
     ( "serve:cache-transparent",
       "a repeated request is answered byte-identically from cache",
       transparency );
-    ( "serve:shard-transparent",
-      "a deduped request set is answered byte-identically at any shard count, with cache \
-       hits on repeats",
-      shard_transparency );
     ( "serve:journal-recovery",
       "journal replay recovers every intact entry and skips crash debris (torn tail, bit \
        flip, duplicate, empty) without raising",

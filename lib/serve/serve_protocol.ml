@@ -282,15 +282,14 @@ let error_payload e =
 
 (* admission-control shed: its own status (never "ok", so it can never
    be cached; never "error", so callers can tell overload from request
-   faults) and a fixed message — the reply must not depend on which
-   shard shed it, or shard-count transparency would leak through the
-   overload path *)
-let busy_payload ~shard =
+   faults) and a fixed message; "shard":0 is a constant kept so the
+   reply bytes stay what existing clients parse *)
+let busy_payload =
   let open Obs_json in
   [
     ("status", String "busy");
     ("class", String "busy");
-    ("shard", Int shard);
+    ("shard", Int 0);
     ("message", String "server at admission limit; retry");
   ]
 
@@ -309,3 +308,8 @@ let degraded_payload ~solver =
   ]
 
 let reply_string ~id payload = Obs_json.to_string (Obs_json.Obj (("id", id) :: payload))
+
+let status_of reply =
+  match Obs_json.of_string reply with
+  | Ok doc -> Option.bind (Obs_json.member "status" doc) Obs_json.to_string_val
+  | Error _ -> None

@@ -76,10 +76,10 @@ val error_payload : Guard_error.t -> (string * Obs_json.t) list
 (** The reply fields (sans ["id"]) of a failed request: status
     ["error"], the taxonomy class string and a one-line message. *)
 
-val busy_payload : shard:int -> (string * Obs_json.t) list
+val busy_payload : (string * Obs_json.t) list
 (** The reply fields (sans ["id"]) of a request shed by admission
-    control: status ["busy"], class ["busy"], the shedding shard's
-    index and a fixed retry message.  Distinct from ["error"] (the
+    control: status ["busy"], class ["busy"], a constant ["shard":0]
+    and a fixed retry message.  Distinct from ["error"] (the
     request itself was fine) and from ["ok"] (it was never solved, so
     it is never cached). *)
 
@@ -93,3 +93,8 @@ val degraded_payload : solver:string -> (string * Obs_json.t) list
 val reply_string : id:Obs_json.t -> (string * Obs_json.t) list -> string
 (** One reply line: the payload with ["id"] prepended, serialized
     compactly (no newline). *)
+
+val status_of : string -> string option
+(** The ["status"] field of a reply line (["ok"], ["error"], ["busy"],
+    ["degraded"]); [None] when the line is not a JSON object carrying
+    a string status. *)

@@ -16,9 +16,4 @@ let next_ms t =
 let reset t = t.prev_ms <- t.base_ms
 
 let is_transient_reply line =
-  match Obs_json.of_string line with
-  | Error _ -> false
-  | Ok doc -> (
-    match Option.bind (Obs_json.member "status" doc) Obs_json.to_string_val with
-    | Some ("busy" | "degraded") -> true
-    | _ -> false)
+  match Serve_protocol.status_of line with Some ("busy" | "degraded") -> true | _ -> false

@@ -1,12 +1,11 @@
-type shard = { pool : Par.Pool.t; cache : Serve_cache.t }
-
 type t = {
-  shards : shard array;
+  pool : Par.Pool.t;
+  cache : Serve_cache.t;
   policy : Guard.policy;
   max_inflight : int;  (* 0 = unbounded *)
   journal : Serve_journal.t option;
   state : Serve_batch.state;
-  last_inflight : int array;  (* per-shard solve depth of the last batch *)
+  mutable last_inflight : int;  (* solve depth of the last batch *)
   mutable requests : int;
   mutable batches : int;
   mutable shed : int;
@@ -15,115 +14,50 @@ type t = {
 
 type stats = {
   cache : Serve_cache.stats;
-  per_shard : Serve_cache.stats array;
   jobs : int;
-  shards : int;
   requests : int;
   batches : int;
   shed : int;
   max_inflight : int;
 }
 
-(* same names as the unsharded daemon: the observability pipeline sees
-   one service either way *)
 let c_requests = Obs.counter "serve.requests"
 let c_batches = Obs.counter "serve.batches"
 let c_shed = Obs.counter "serve.shed"
 let g_inflight = Obs.gauge "serve.inflight"
 
-(* Lamping–Veach jump consistent hash: deterministic in (key, buckets)
-   alone — the same canonical key lands on the same shard across
-   restarts — and monotone in bucket count: growing [buckets] from n to
-   n+1 only ever moves keys onto the new bucket, never between old
-   ones, so a scale-out invalidates ~1/(n+1) of every warm cache
-   instead of rehashing the world. *)
-let route ~hash ~shards =
-  if shards < 1 then invalid_arg "Serve_shard.route: shards must be >= 1";
-  let mult = 2862933555777941757L in
-  let b = ref (-1) and j = ref 0 in
-  let key = ref hash in
-  let two31 = Int64.to_float (Int64.shift_left 1L 31) in
-  while !j < shards do
-    b := !j;
-    key := Int64.add (Int64.mul !key mult) 1L;
-    let denom = Int64.to_float (Int64.add (Int64.shift_right_logical !key 33) 1L) in
-    j := int_of_float (float_of_int (!b + 1) *. (two31 /. denom))
-  done;
-  !b
-
-let shard_of (t : t) ~hash = route ~hash ~shards:(Array.length t.shards)
-
-(* every live entry, shard order then LRU→MRU within a shard, so a
-   checkpoint replays recency faithfully *)
-let entries (t : t) =
-  Array.fold_left
-    (fun acc (sh : shard) -> acc @ Serve_cache.to_list sh.cache)
-    [] t.shards
-
-let create ?jobs ?(shards = 1) ?(cache_capacity = 256) ?(max_inflight = 0)
-    ?(policy = Guard.default) ?cache_file ?(fsync = false) ?(compact_every = 1024)
-    ?breaker ?breaker_now () =
-  if shards < 1 then invalid_arg "Serve_shard.create: shards must be >= 1";
+let create ?jobs ?(cache_capacity = 256) ?(max_inflight = 0) ?(policy = Guard.default)
+    ?cache_file ?(fsync = false) ?(compact_every = 1024) ?breaker ?breaker_now () =
   if max_inflight < 0 then invalid_arg "Serve_shard.create: max_inflight must be >= 0";
-  (* shared-nothing slices of one machine: each shard's resident pool
-     gets ~1/N of the requested width so N shards never oversubscribe *)
-  let total = match jobs with Some j -> j | None -> Par.default_jobs () in
-  if total < 1 then invalid_arg "Serve_shard.create: jobs must be >= 1";
-  let per_shard = Int.max 1 (total / shards) in
   let journal =
     Option.map (fun path -> Serve_journal.open_ ~fsync ~compact_every ~path ()) cache_file
   in
-  let t =
-    {
-      shards =
-        Array.init shards (fun _ ->
-            {
-              pool = Par.Pool.create ~jobs:per_shard ();
-              cache = Serve_cache.create ~capacity:cache_capacity;
-            });
-      policy;
-      max_inflight;
-      journal;
-      state = Serve_batch.create_state ?now:breaker_now ?breaker ();
-      last_inflight = Array.make shards 0;
-      requests = 0;
-      batches = 0;
-      shed = 0;
-      stop = false;
-    }
-  in
-  (* recover checkpoint ∪ journal, routed by the *current* shard count:
-     a store written at --shards 1 still warms a --shards 4 daemon.
-     Torn or corrupt lines are skipped, never fatal. *)
-  (match journal with
-  | None -> ()
-  | Some j ->
-    Serve_journal.replay j (fun ~canon payload ->
-        let hash = Serve_key.hash canon in
-        let sh = t.shards.(route ~hash ~shards) in
-        Serve_cache.insert sh.cache ~hash ~canon payload));
-  t
+  let cache = Serve_cache.create ~capacity:cache_capacity in
+  (* recover checkpoint ∪ journal; torn or corrupt lines are skipped,
+     never fatal *)
+  Option.iter
+    (fun j ->
+      Serve_journal.replay j (fun ~canon payload ->
+          Serve_cache.insert cache ~hash:(Serve_key.hash canon) ~canon payload))
+    journal;
+  {
+    pool = Par.Pool.create ?jobs ();
+    cache;
+    policy;
+    max_inflight;
+    journal;
+    state = Serve_batch.create_state ?now:breaker_now ?breaker ();
+    last_inflight = 0;
+    requests = 0;
+    batches = 0;
+    shed = 0;
+    stop = false;
+  }
 
 let stats (t : t) =
-  let per_shard = Array.map (fun (sh : shard) -> Serve_cache.stats sh.cache) t.shards in
-  let cache =
-    Array.fold_left
-      (fun (acc : Serve_cache.stats) (s : Serve_cache.stats) ->
-        {
-          Serve_cache.hits = acc.hits + s.hits;
-          misses = acc.misses + s.misses;
-          evictions = acc.evictions + s.evictions;
-          size = acc.size + s.size;
-          capacity = acc.capacity + s.capacity;
-        })
-      { Serve_cache.hits = 0; misses = 0; evictions = 0; size = 0; capacity = 0 }
-      per_shard
-  in
   {
-    cache;
-    per_shard;
-    jobs = Array.fold_left (fun acc sh -> acc + Par.Pool.jobs sh.pool) 0 t.shards;
-    shards = Array.length t.shards;
+    cache = Serve_cache.stats t.cache;
+    jobs = Par.Pool.jobs t.pool;
     requests = t.requests;
     batches = t.batches;
     shed = t.shed;
@@ -134,20 +68,20 @@ let journal_stats (t : t) = Option.map Serve_journal.stats t.journal
 
 let stopping (t : t) = t.stop
 
-let save_caches (t : t) =
-  match t.journal with
-  | None -> ()
-  | Some j -> ( try Serve_journal.compact j ~entries:(entries t) with Sys_error _ -> ())
-
-let shutdown (t : t) =
-  save_caches t;
-  (match t.journal with None -> () | Some j -> Serve_journal.close j);
-  Array.iter (fun (sh : shard) -> Par.Pool.shutdown sh.pool) t.shards
+(* every live entry LRU→MRU, so a checkpoint replays recency faithfully *)
+let compact (t : t) j =
+  try Serve_journal.compact j ~entries:(Serve_cache.to_list t.cache) with Sys_error _ -> ()
 
 let abort (t : t) =
-  (match t.journal with None -> () | Some j -> Serve_journal.close j);
-  Array.iter (fun (sh : shard) -> Par.Pool.shutdown sh.pool) t.shards
+  Option.iter Serve_journal.close t.journal;
+  Par.Pool.shutdown t.pool
 
+let shutdown (t : t) =
+  Option.iter (compact t) t.journal;
+  abort t
+
+(* "shards":1 stays on the wire (here, in health and in the busy reply)
+   as a constant, so existing clients parse these replies unchanged *)
 let stats_payload t =
   let s = stats t in
   let open Obs_json in
@@ -164,16 +98,16 @@ let stats_payload t =
           ("jobs", Int s.jobs);
           ("requests", Int s.requests);
           ("batches", Int s.batches);
-          ("shards", Int s.shards);
+          ("shards", Int 1);
           ("shed", Int s.shed);
           ("max_inflight", Int s.max_inflight);
         ] );
   ]
 
-(* the supervision view: per-shard load and cache occupancy, journal
-   durability counters, breaker states — what an operator (or the
-   kill-chaos drill) polls to decide the daemon is healthy *)
-let health_payload t =
+(* the supervision view: load and cache occupancy, journal durability
+   counters, breaker states — what an operator (or the kill-chaos
+   drill) polls to decide the daemon is healthy *)
+let health_payload (t : t) =
   let open Obs_json in
   let breaker_rows =
     match Serve_batch.breaker_of t.state with
@@ -207,17 +141,16 @@ let health_payload t =
           ("lag", Int js.Serve_journal.lag);
         ]
   in
-  let s = stats t in
+  let c = Serve_cache.stats t.cache in
   [
     ("status", String "ok");
     ( "health",
       Obj
         [
-          ("shards", Int (Array.length t.shards));
-          ( "inflight",
-            List (Array.to_list (Array.map (fun d -> Int d) t.last_inflight)) );
+          ("shards", Int 1);
+          ("inflight", List [ Int t.last_inflight ]);
           ( "cache",
-            Obj [ ("size", Int s.cache.Serve_cache.size); ("capacity", Int s.cache.Serve_cache.capacity) ] );
+            Obj [ ("size", Int c.Serve_cache.size); ("capacity", Int c.Serve_cache.capacity) ] );
           ("journal", journal);
           ("breakers", List breaker_rows);
         ] );
@@ -239,61 +172,49 @@ let handle_batch (t : t) lines =
       decoded
   in
   let payloads : (string * Obs_json.t) list option array = Array.make n None in
-  let shards = Array.length t.shards in
-  (* route in request order; admission sheds everything past a shard's
+  (* admit in request order; admission sheds everything past the
      inflight bound with an immediate typed busy reply *)
-  let assigned = Array.make shards [] in
-  let depth = Array.make shards 0 in
+  let admitted = ref [] and depth = ref 0 in
   Array.iteri
     (fun i d ->
       match d with
       | Error (_, e) -> payloads.(i) <- Some (Serve_protocol.error_payload e)
       | Ok { Serve_protocol.op = Serve_protocol.Solve sr; _ } ->
-        let s = route ~hash:sr.Serve_protocol.hash ~shards in
-        if t.max_inflight > 0 && depth.(s) >= t.max_inflight then begin
+        if t.max_inflight > 0 && !depth >= t.max_inflight then begin
           t.shed <- t.shed + 1;
           Obs.incr c_shed;
-          payloads.(i) <- Some (Serve_protocol.busy_payload ~shard:s)
+          payloads.(i) <- Some Serve_protocol.busy_payload
         end
         else begin
-          depth.(s) <- depth.(s) + 1;
-          assigned.(s) <- (i, sr) :: assigned.(s)
+          incr depth;
+          admitted := (i, sr) :: !admitted
         end
       | Ok _ -> ())
     decoded;
-  Array.blit depth 0 t.last_inflight 0 shards;
-  Obs.set g_inflight (float_of_int (Array.fold_left Int.max 0 depth));
-  (* the router drives each shard's batch in turn: cache, dedupe and
-     pool dispatch are all shard-local, so there is nothing to lock *)
+  t.last_inflight <- !depth;
+  Obs.set g_inflight (float_of_int !depth);
   let on_insert =
-    match t.journal with
-    | None -> None
-    | Some j -> Some (fun ~canon payload -> Serve_journal.append j ~canon payload)
+    Option.map (fun j ~canon payload -> Serve_journal.append j ~canon payload) t.journal
   in
-  Array.iteri
-    (fun s work ->
-      match List.rev work with
-      | [] -> ()
-      | work ->
-        let work = Array.of_list work in
-        let sh = t.shards.(s) in
-        let answers =
-          Serve_batch.run ~pool:sh.pool ~cache:sh.cache ~policy:t.policy ~state:t.state
-            ?on_insert (Array.map snd work)
-        in
-        Array.iteri (fun k (i, _) -> payloads.(i) <- Some answers.(k)) work)
-    assigned;
+  (match List.rev !admitted with
+  | [] -> ()
+  | work ->
+    let work = Array.of_list work in
+    let answers =
+      Serve_batch.run ~pool:t.pool ~cache:t.cache ~policy:t.policy ~state:t.state ?on_insert
+        (Array.map snd work)
+    in
+    Array.iteri (fun k (i, _) -> payloads.(i) <- Some answers.(k)) work);
   Obs.set g_inflight 0.0;
   (* write-ahead durability boundary: one flush per served batch puts
      every insert in the OS page cache (SIGKILL-safe; power-loss-safe
      too under --fsync), and lag-triggered compaction keeps replay
      bounded *)
-  (match t.journal with
-  | None -> ()
-  | Some j ->
-    (try Serve_journal.flush j with Sys_error _ -> ());
-    if Serve_journal.needs_compact j then
-      try Serve_journal.compact j ~entries:(entries t) with Sys_error _ -> ());
+  Option.iter
+    (fun j ->
+      (try Serve_journal.flush j with Sys_error _ -> ());
+      if Serve_journal.needs_compact j then compact t j)
+    t.journal;
   (* ops answer after the batch's solves, so an in-batch "stats" (or
      "health") observes them *)
   Array.iteri
@@ -326,10 +247,3 @@ let handle_batch (t : t) lines =
        ids)
 
 let handle_line t line = match handle_batch t [ line ] with [ r ] -> r | _ -> assert false
-
-let handler t =
-  {
-    Serve.h_batch = handle_batch t;
-    h_stopping = (fun () -> t.stop);
-    h_close = (fun () -> shutdown t);
-  }

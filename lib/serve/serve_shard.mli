@@ -1,17 +1,13 @@
-(** Shared-nothing sharded front end for the solve service.
+(** The serve session: the whole request path of the solve service.
 
-    A {!t} owns [N] shards, each a private {!Serve_cache} LRU plus a
-    resident {!Par.Pool} slice (≈ 1/N of the requested width).  The
-    router dispatches every solve by the Lamping–Veach jump consistent
-    hash of its {!Serve_key} canonical key, so a repeated request
-    always lands on the shard that cached it, and cache lookups,
-    deduplication and pool dispatch all proceed with zero cross-shard
-    synchronization.  Because each request's reply depends only on its
-    own canonical problem (the {!Serve_batch} determinism contract),
-    replies are byte-identical across shard counts — the
-    [serve:shard-transparent] fuzz property.
+    A {!t} owns the resident {!Par.Pool} (created once, at {!create} —
+    never per request), one {!Serve_cache} LRU and the base
+    {!Guard.policy}.  {!handle_batch} is decode, admit or shed, cache,
+    dispatch, journal and encode, as a function from request lines to
+    reply lines; the tests, the benchmarks and the {!Serve} transports
+    all drive it directly.
 
-    Admission control bounds each shard's per-batch inflight depth
+    Admission control bounds the per-batch inflight depth
     ([max_inflight]); excess requests are shed with a typed
     {!Serve_protocol.busy_payload} reply rather than queued unboundedly
     ([serve.shed] counter, [serve.inflight] gauge).
@@ -19,26 +15,30 @@
     With [cache_file], persistence is crash-safe ({!Serve_journal}):
     every cache insert is appended to a CRC-framed write-ahead journal
     (flushed once per batch; fsynced under [fsync]), {!create} replays
-    checkpoint ∪ journal — re-routed by the {e current} shard count, so
-    a store written at one [--shards] value warms any other — and
-    lag-triggered compaction (plus {!shutdown}) folds the journal into
-    an atomically rewritten checkpoint.  A SIGKILL loses at most the
-    in-flight batch; torn or corrupt lines are skipped on replay, never
-    fatal.
+    checkpoint ∪ journal, and lag-triggered compaction (plus
+    {!shutdown}) folds the journal into an atomically rewritten
+    checkpoint.  A SIGKILL loses at most the in-flight batch; torn or
+    corrupt lines are skipped on replay, never fatal.
 
-    One {!Serve_batch} supervision state (circuit breakers) is shared
-    across shards — the router drives every shard from one loop, so a
-    solver that melts down trips a single breaker for the whole
-    daemon; the ["health"] op reports per-shard inflight, cache
-    occupancy, journal counters and breaker states. *)
+    One {!Serve_batch} supervision state holds the per-solver circuit
+    breakers; the ["health"] op reports inflight depth, cache
+    occupancy, journal counters and breaker states.
+
+    The daemon never dies on request content: malformed lines, solver
+    faults and deadline expiries all become typed error replies (see
+    {!Serve_protocol}), and only a ["shutdown"] op (or transport EOF)
+    ends a transport loop.
+
+    The module name and the constant ["shards":1] / ["shard":0] reply
+    fields remain from an earlier front end that split the cache and
+    pool N ways; the benchmark reads [serve_shard.*] metrics under this
+    name. *)
 
 type t
 
 type stats = {
-  cache : Serve_cache.stats;  (** summed over shards *)
-  per_shard : Serve_cache.stats array;
-  jobs : int;  (** total pool width over shards *)
-  shards : int;
+  cache : Serve_cache.stats;
+  jobs : int;  (** pool width *)
   requests : int;
   batches : int;
   shed : int;  (** requests refused by admission control *)
@@ -47,7 +47,6 @@ type stats = {
 
 val create :
   ?jobs:int ->
-  ?shards:int ->
   ?cache_capacity:int ->
   ?max_inflight:int ->
   ?policy:Guard.policy ->
@@ -58,34 +57,26 @@ val create :
   ?breaker_now:(unit -> float) ->
   unit ->
   t
-(** [jobs] is the total pool width to slice across [shards] (default
-    {!Par.default_jobs}; each shard gets at least 1); [cache_capacity]
-    bounds each shard's LRU (default 256); [max_inflight] bounds each
-    shard's per-batch solve depth (default 0 = unbounded).
+(** [jobs] sizes the resident pool (default {!Par.default_jobs},
+    clamped per the [Par] contract); [cache_capacity] bounds the LRU
+    (default 256); [max_inflight] bounds the per-batch solve depth
+    (default 0 = unbounded); [policy] supervises every solve (default
+    {!Guard.default} — no deadline unless a request carries one).
     [cache_file] roots the {!Serve_journal} store: the checkpoint lives
     there, the journal beside it at [.journal], and both are replayed
     immediately (corrupt lines skipped).  [fsync] (default false) makes
     the per-batch journal flush power-loss durable; [compact_every]
     (default 1024) is the journal lag that triggers compaction.
-    [breaker] configures the shared circuit breakers
+    [breaker] configures the circuit breakers
     (default {!Guard_breaker.default_config}; [None] disables);
     [breaker_now] injects the breaker clock for tests.
-    @raise Invalid_argument when [shards < 1], [jobs < 1] or
+    @raise Invalid_argument when [jobs < 1], [cache_capacity < 1] or
     [max_inflight < 0]. *)
 
-val route : hash:int64 -> shards:int -> int
-(** The jump consistent hash: deterministic in [(hash, shards)] alone
-    and monotone in [shards] — growing the count only moves keys onto
-    the new shard.  In [\[0, shards)].
-    @raise Invalid_argument when [shards < 1]. *)
-
-val shard_of : t -> hash:int64 -> int
-(** [route] at this daemon's shard count. *)
-
 val handle_batch : t -> string list -> string list
-(** One reply line per request line, in order: decode, route, admit or
-    shed, per-shard batch dispatch, journal flush, ops answered after
-    solves.  Never raises on request content. *)
+(** One reply line per request line, in order: decode, admit or shed,
+    deduplicated batch dispatch (see {!Serve_batch}), journal flush,
+    ops answered after solves.  Never raises on request content. *)
 
 val handle_line : t -> string -> string
 (** [handle_batch] of a singleton. *)
@@ -96,21 +87,15 @@ val journal_stats : t -> Serve_journal.stats option
 (** Durability counters ([None] without [cache_file]). *)
 
 val stopping : t -> bool
-(** Set by a ["shutdown"] request. *)
-
-val save_caches : t -> unit
-(** Compact now: fold all live entries into the checkpoint (atomic
-    rename + fsync) and truncate the journal.  No-op without
-    [cache_file]. *)
+(** Set by a ["shutdown"] request; the transports exit their loop once
+    the reply is flushed. *)
 
 val shutdown : t -> unit
-(** [save_caches], close the journal, then stop every shard's pool
-    workers.  Idempotent; the transports call it on exit. *)
+(** Fold all live entries into the checkpoint (atomic rename + fsync)
+    and truncate the journal, close it, then stop the pool workers.
+    Idempotent; the transports call it on exit. *)
 
 val abort : t -> unit
-(** Stop the pools {e without} compacting — on-disk state is left
+(** Stop the pool {e without} compacting — on-disk state is left
     exactly as the last batch flushed it, as a SIGKILL would.  For
     crash-recovery tests and benchmarks. *)
-
-val handler : t -> Serve.handler
-(** Package for {!Serve.run_pipe_handler} / {!Serve.run_socket_handler}. *)

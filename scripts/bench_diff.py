@@ -21,7 +21,7 @@ kernel microbenches are single-core, allocation-free-on-warm loops
 with far less machine noise than the service sections, so a deep floor
 (CI uses 0.2, i.e. "no more than 5x slower than the committed
 baseline") is quiet on shared runners yet still fails a return to
-boxed per-call storage, which costs 5-10x.  The serve_shard sections
+boxed per-call storage, which costs 5-10x.  The serve_recovery sections
 are gated separately (CI uses 0.1 for them — service sections see more
 noise than kernels, so their floor is deeper).  Sections matching no
 gate prefix are never blocking, whatever the flags say.

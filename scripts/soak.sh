@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
-# Soak a sharded serve daemon with an emitted trace and report latency
+# Soak a serve daemon with an emitted trace and report latency
 # percentiles.  The whole loop is the EXPERIMENTS.md SOAK drill:
 #
-#   scripts/soak.sh [REQUESTS] [SHARDS] [MAX_INFLIGHT]
+#   scripts/soak.sh [JOBS] [MAX_INFLIGHT]
 #
-# defaults: 100000 trace jobs -> 20000 requests, 2 shards, unbounded
-# admission.  Pass a small MAX_INFLIGHT (e.g. 16) to watch admission
+# defaults: 100000 trace jobs -> 20000 requests, unbounded admission.  Pass a small MAX_INFLIGHT (e.g. 16) to watch admission
 # control shed with typed busy replies while the daemon stays up.
 #
 # With CHAOS=1 the script runs the EXPERIMENTS.md CHAOS-SERVE drill
@@ -16,8 +15,7 @@
 set -euo pipefail
 
 jobs=${1:-100000}
-shards=${2:-2}
-max_inflight=${3:-0}
+max_inflight=${2:-0}
 chaos=${CHAOS:-0}
 
 workdir=$(mktemp -d)
@@ -41,16 +39,15 @@ if [ "$chaos" = "1" ]; then
   # warm (>= 90% of pre-kill cache entries replayed, zero corrupt)
   # and every post-crash recheck is byte-identical
   "$pasched" soak --chaos --socket "$sock" --cache-file "$cache" \
-    --file "$reqs" --shards "$shards" --cache 4096 --window 64 \
+    --file "$reqs" --cache 4096 --window 64 \
     --retries 8 --backoff-ms 50 --kill-at 0.5
   echo "chaos drill survived: journal replay + retry masked a SIGKILL"
   exit 0
 fi
 
-# 2. the sharded daemon: jump-hash routing, per-shard LRU + pool,
-#    admission control, cache persistence
-"$pasched" serve --socket "$sock" --shards "$shards" \
-  --max-inflight "$max_inflight" --cache-file "$cache" &
+# 2. the daemon: one session (LRU cache + resident pool), admission
+#    control, cache persistence
+"$pasched" serve --socket "$sock" --max-inflight "$max_inflight" --cache-file "$cache" &
 daemon_pid=$!
 for _ in $(seq 50); do [ -S "$sock" ] && break; sleep 0.1; done
 [ -S "$sock" ] || { echo "daemon never bound $sock"; exit 1; }
@@ -59,7 +56,7 @@ for _ in $(seq 50); do [ -S "$sock" ] && break; sleep 0.1; done
 #    streaming quantile estimator
 "$pasched" soak --socket "$sock" --file "$reqs" --window 64
 
-# 4. clean shutdown persists every shard's cache
+# 4. clean shutdown persists the cache
 "$pasched" client --socket "$sock" '{"op":"shutdown"}' > /dev/null
 wait "$daemon_pid" 2>/dev/null || true
 echo "persisted cache: $(wc -l < "$cache") entries at $cache"

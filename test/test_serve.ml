@@ -48,9 +48,9 @@ let class_of reply =
   | Ok doc -> Option.bind (Obs_json.member "class" doc) Obs_json.to_string_val
   | Error m -> Alcotest.failf "reply is not JSON (%s): %s" m reply
 
-let with_session ?(jobs = 1) ?(cache_capacity = 32) ?(policy = Guard.default) f =
-  let t = Serve.create ~jobs ~cache_capacity ~policy () in
-  Fun.protect ~finally:(fun () -> Serve.shutdown t) (fun () -> f t)
+let with_session ?(jobs = 1) ?(cache_capacity = 32) ?max_inflight ?cache_file f =
+  let t = Serve_shard.create ~jobs ~cache_capacity ?max_inflight ?cache_file () in
+  Fun.protect ~finally:(fun () -> Serve_shard.shutdown t) (fun () -> f t)
 
 (* ---------------- protocol ---------------- *)
 
@@ -198,28 +198,28 @@ let test_warm_cache_no_solver () =
   Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
   let c_root = Obs.counter "rootfind.calls" in
   let c_hit = Obs.counter "serve.cache.hit" in
-  let cold = Serve.handle_line t (req ~budget:10.0 jobs3) in
+  let cold = Serve_shard.handle_line t (req ~budget:10.0 jobs3) in
   let roots_cold = Obs_metrics.value c_root in
   let hits_cold = Obs_metrics.value c_hit in
   check_bool "cold solve is ok" true (status_of cold = Some "ok");
-  let warm = Serve.handle_line t (req ~budget:10.0 jobs3) in
+  let warm = Serve_shard.handle_line t (req ~budget:10.0 jobs3) in
   check_string "warm reply byte-identical to cold" cold warm;
   check_int "no solver re-entry on the warm path" roots_cold (Obs_metrics.value c_root);
   check_int "exactly one cache hit recorded" (hits_cold + 1) (Obs_metrics.value c_hit);
-  check_int "session stats agree" 1 (Serve.stats t).Serve.cache.Serve_cache.hits
+  check_int "session stats agree" 1 (Serve_shard.stats t).Serve_shard.cache.Serve_cache.hits
 
 let test_warm_cache_reordered () =
   with_session @@ fun t ->
-  let cold = Serve.handle_line t (req ~budget:10.0 jobs3) in
-  let warm = Serve.handle_line t (req ~budget:10.0 jobs3_rev) in
+  let cold = Serve_shard.handle_line t (req ~budget:10.0 jobs3) in
+  let warm = Serve_shard.handle_line t (req ~budget:10.0 jobs3_rev) in
   check_string "reordered repeat served from cache, byte-identical" cold warm;
   check_int "hit recorded for the reordered repeat" 1
-    (Serve.stats t).Serve.cache.Serve_cache.hits
+    (Serve_shard.stats t).Serve_shard.cache.Serve_cache.hits
 
 let test_batch_dedupe () =
   with_session @@ fun t ->
   let line i = req ~id:i ~budget:10.0 jobs3 in
-  match Serve.handle_batch t [ line 1; line 2; line 3 ] with
+  match Serve_shard.handle_batch t [ line 1; line 2; line 3 ] with
   | [ r1; r2; r3 ] ->
     let strip r =
       match Obs_json.of_string r with
@@ -239,14 +239,14 @@ let flow12_deadline0 =
 
 let test_deadline_reply () =
   with_session @@ fun t ->
-  let r = Serve.handle_line t flow12_deadline0 in
+  let r = Serve_shard.handle_line t flow12_deadline0 in
   check_bool "zero deadline returns an error reply" true (status_of r = Some "error");
   check_bool "classified as deadline" true (class_of r = Some "deadline");
   (* the daemon must keep serving after a deadline expiry *)
-  let after = Serve.handle_line t (req ~budget:10.0 jobs3) in
+  let after = Serve_shard.handle_line t (req ~budget:10.0 jobs3) in
   check_bool "daemon keeps serving after a deadline reply" true (status_of after = Some "ok");
   check_bool "deadline replies are not cached" true
-    ((Serve.stats t).Serve.cache.Serve_cache.size = 1)
+    ((Serve_shard.stats t).Serve_shard.cache.Serve_cache.size = 1)
 
 let test_jobs_invariance () =
   let batch =
@@ -258,16 +258,16 @@ let test_jobs_invariance () =
       flow12_deadline0;
     ]
   in
-  let run jobs = with_session ~jobs (fun t -> Serve.handle_batch t batch) in
+  let run jobs = with_session ~jobs (fun t -> Serve_shard.handle_batch t batch) in
   List.iter2
     (fun a b -> check_string "replies independent of pool width" a b)
     (run 1) (run 4)
 
 let test_ops () =
   with_session @@ fun t ->
-  let ping = Serve.handle_line t {|{"id":1,"op":"ping"}|} in
+  let ping = Serve_shard.handle_line t {|{"id":1,"op":"ping"}|} in
   check_bool "ping pongs" true (status_of ping = Some "ok");
-  let stats = Serve.handle_line t {|{"id":2,"op":"stats"}|} in
+  let stats = Serve_shard.handle_line t {|{"id":2,"op":"stats"}|} in
   (match Obs_json.of_string stats with
   | Ok doc -> (
     match Obs_json.member "stats" doc with
@@ -277,22 +277,22 @@ let test_ops () =
         [ "hits"; "misses"; "evictions"; "size"; "capacity"; "jobs"; "requests"; "batches" ]
     | None -> Alcotest.fail "stats reply carries no stats object")
   | Error m -> Alcotest.failf "stats reply unparseable: %s" m);
-  check_bool "not stopping before shutdown" false (Serve.stopping t);
-  let bye = Serve.handle_line t {|{"id":3,"op":"shutdown"}|} in
+  check_bool "not stopping before shutdown" false (Serve_shard.stopping t);
+  let bye = Serve_shard.handle_line t {|{"id":3,"op":"shutdown"}|} in
   check_bool "shutdown acknowledged" true (status_of bye = Some "ok");
-  check_bool "stopping after shutdown" true (Serve.stopping t)
+  check_bool "stopping after shutdown" true (Serve_shard.stopping t)
 
 let test_unknown_solver_reply () =
   with_session @@ fun t ->
-  let r = Serve.handle_line t (req ~budget:10.0 ~solver:"nope" jobs3) in
+  let r = Serve_shard.handle_line t (req ~budget:10.0 ~solver:"nope" jobs3) in
   check_bool "unknown solver is an error reply" true (status_of r = Some "error");
   check_bool "classified invalid-input" true (class_of r = Some "invalid-input");
-  let r2 = Serve.handle_line t (req ~budget:10.0 jobs3) in
+  let r2 = Serve_shard.handle_line t (req ~budget:10.0 jobs3) in
   check_bool "daemon keeps serving" true (status_of r2 = Some "ok")
 
 let test_pareto_reply () =
   with_session @@ fun t ->
-  let r = Serve.handle_line t (req ~pareto:true ~points:5 jobs3) in
+  let r = Serve_shard.handle_line t (req ~pareto:true ~points:5 jobs3) in
   check_bool "pareto solve is ok" true (status_of r = Some "ok");
   match Obs_json.of_string r with
   | Ok doc ->
@@ -301,6 +301,39 @@ let test_pareto_reply () =
     | Some samples -> check_int "curve sampled at the requested points" 5 (List.length samples)
     | None -> Alcotest.fail "curve missing from pareto reply")
   | Error m -> Alcotest.failf "pareto reply unparseable: %s" m
+
+(* the exact reply bytes of the ops and of an admission shed, from a
+   fresh session: clients and the chaos drill parse these fields, so
+   the wire shape is pinned byte for byte *)
+let test_wire_shape () =
+  with_session (fun t ->
+      check_string "ping bytes" {|{"id":1,"status":"ok","pong":true}|}
+        (Serve_shard.handle_line t {|{"id":1,"op":"ping"}|});
+      check_string "stats bytes"
+        ({|{"id":2,"status":"ok","stats":{"hits":0,"misses":0,"evictions":0,"size":0,|}
+        ^ {|"capacity":32,"jobs":1,"requests":2,"batches":2,|}
+        ^ {|"shards":1,"shed":0,"max_inflight":0}}|})
+        (Serve_shard.handle_line t {|{"id":2,"op":"stats"}|});
+      check_string "health bytes"
+        ({|{"id":3,"status":"ok","health":{"shards":1,"inflight":[0],|}
+        ^ {|"cache":{"size":0,"capacity":32},"journal":null,"breakers":[]}}|})
+        (Serve_shard.handle_line t {|{"id":3,"op":"health"}|}));
+  with_session ~max_inflight:1 (fun t ->
+      let lines =
+        [ req ~id:4 ~budget:10.0 jobs3; req ~id:5 ~budget:11.0 jobs3; {|{"id":6,"op":"health"}|} ]
+      in
+      match Serve_shard.handle_batch t lines with
+      | [ first; shed; health ] ->
+        check_bool "first request admitted" true (status_of first = Some "ok");
+        check_string "busy bytes"
+          ({|{"id":5,"status":"busy","class":"busy","shard":0,|}
+          ^ {|"message":"server at admission limit; retry"}|})
+          shed;
+        check_string "health bytes in the shedding batch"
+          ({|{"id":6,"status":"ok","health":{"shards":1,"inflight":[1],|}
+          ^ {|"cache":{"size":1,"capacity":32},"journal":null,"breakers":[]}}|})
+          health
+      | _ -> Alcotest.fail "expected three replies")
 
 (* ---------------- Engine.solve_many and the pool ---------------- *)
 
@@ -375,68 +408,10 @@ let test_pool_shutdown_degrades () =
   check_bool "post-shutdown init runs sequentially" true
     (Par.Pool.init pool 8 (fun i -> i + 1) = Array.init 8 (fun i -> i + 1))
 
-(* ---------------- sharded front end ---------------- *)
-
-let with_shards ?(jobs = 1) ?(shards = 1) ?(cache_capacity = 32) ?max_inflight ?cache_file f =
-  let t = Serve_shard.create ~jobs ~shards ~cache_capacity ?max_inflight ?cache_file () in
-  Fun.protect ~finally:(fun () -> Serve_shard.shutdown t) (fun () -> f t)
-
-let test_route_determinism () =
-  let hashes =
-    List.init 64 (fun i -> Serve_key.hash (Printf.sprintf "probe-%d" (i * 7919)))
-  in
-  List.iter
-    (fun h ->
-      List.iter
-        (fun shards ->
-          let s = Serve_shard.route ~hash:h ~shards in
-          check_bool "route lands in [0, shards)" true (s >= 0 && s < shards);
-          check_int "route is a pure function of (hash, shards)" s
-            (Serve_shard.route ~hash:h ~shards))
-        [ 1; 2; 3; 4; 7 ];
-      check_int "one shard routes everything to 0" 0 (Serve_shard.route ~hash:h ~shards:1))
-    hashes
-
-let test_route_monotone () =
-  (* jump-hash contract: growing n -> n+1 only moves keys onto the new
-     shard, never between old ones *)
-  let hashes = List.init 256 (fun i -> Serve_key.hash (string_of_int i)) in
-  List.iter
-    (fun shards ->
-      List.iter
-        (fun h ->
-          let before = Serve_shard.route ~hash:h ~shards in
-          let after = Serve_shard.route ~hash:h ~shards:(shards + 1) in
-          check_bool "key stays put or moves to the new shard" true
-            (after = before || after = shards))
-        hashes)
-    [ 1; 2; 3; 4 ]
-
-let test_shard_transparency () =
-  let lines = List.init 6 (fun i -> req ~id:i ~budget:(8.0 +. float_of_int i) jobs3) in
-  let run shards =
-    with_shards ~shards @@ fun t ->
-    let cold = Serve_shard.handle_batch t lines in
-    let warm = Serve_shard.handle_batch t lines in
-    let st = Serve_shard.stats t in
-    (cold, warm, st)
-  in
-  let cold1, warm1, st1 = run 1 in
-  let cold3, warm3, st3 = run 3 in
-  check_bool "cold replies byte-identical 1 vs 3 shards" true
-    (List.equal String.equal cold1 cold3);
-  check_bool "warm replies byte-identical 1 vs 3 shards" true
-    (List.equal String.equal warm1 warm3);
-  check_bool "repeats answered from cache" true (List.equal String.equal cold1 warm1);
-  check_int "every repeat hits at 1 shard" 6 st1.Serve_shard.cache.Serve_cache.hits;
-  check_int "every repeat hits at 3 shards" 6 st3.Serve_shard.cache.Serve_cache.hits;
-  check_bool "3 shards spread the working set" true
-    (Array.exists (fun (s : Serve_cache.stats) -> s.Serve_cache.size > 0)
-       st3.Serve_shard.per_shard
-    && Array.length st3.Serve_shard.per_shard = 3)
+(* ---------------- admission control and snapshots ---------------- *)
 
 let test_busy_shed () =
-  with_shards ~shards:1 ~max_inflight:1 @@ fun t ->
+  with_session ~max_inflight:1 @@ fun t ->
   let lines = List.init 3 (fun i -> req ~id:i ~budget:(8.0 +. float_of_int i) jobs3) in
   (match Serve_shard.handle_batch t lines with
   | [ r1; r2; r3 ] ->
@@ -465,19 +440,18 @@ let test_snapshot_roundtrip () =
   let c_root = Obs.counter "rootfind.calls" in
   let line = req ~budget:10.0 jobs3 in
   let cold =
-    with_shards ~shards:1 ~cache_file:snapshot_file @@ fun t ->
-    Serve_shard.handle_line t line
+    with_session ~cache_file:snapshot_file @@ fun t -> Serve_shard.handle_line t line
   in
-  (* shutdown (via with_shards) snapshotted the cache; a fresh daemon
-     at a different shard count warms from it *)
+  (* shutdown (via with_session) snapshotted the cache; a fresh daemon
+     warms from it *)
   check_bool "snapshot file written" true (Sys.file_exists snapshot_file);
   let roots_after_cold = Obs_metrics.value c_root in
   let warm, hits =
-    with_shards ~shards:3 ~cache_file:snapshot_file @@ fun t ->
+    with_session ~cache_file:snapshot_file @@ fun t ->
     let w = Serve_shard.handle_line t line in
     (w, (Serve_shard.stats t).Serve_shard.cache.Serve_cache.hits)
   in
-  check_string "warm reply byte-identical across restart and reshard" cold warm;
+  check_string "warm reply byte-identical across restart" cold warm;
   check_int "no solver re-entry on the warmed path" roots_after_cold
     (Obs_metrics.value c_root);
   check_int "restart answered from the persisted cache" 1 hits;
@@ -489,7 +463,7 @@ let test_snapshot_tolerant () =
   output_string oc "this is not json\n{\"canon\": 42}\n{\"payload\": {}}\n";
   close_out oc;
   (* malformed snapshot lines are skipped, never fatal *)
-  (with_shards ~shards:2 ~cache_file:file @@ fun t ->
+  (with_session ~cache_file:file @@ fun t ->
    check_int "garbage snapshot loads nothing" 0
      (Serve_shard.stats t).Serve_shard.cache.Serve_cache.size;
    check_bool "daemon still serves" true
@@ -788,7 +762,7 @@ let contains ~sub s =
 let test_breaker_degrade_path () =
   let now = ref 0.0 in
   let t =
-    Serve_shard.create ~jobs:1 ~shards:1 ~cache_capacity:32
+    Serve_shard.create ~jobs:1 ~cache_capacity:32
       ~breaker:(Some { Guard_breaker.threshold = 2; cooldown_s = 100.0 })
       ~breaker_now:(fun () -> !now)
       ()
@@ -857,7 +831,7 @@ let test_breaker_reject_when_no_fallback () =
 
 let test_health_op () =
   with_store @@ fun path ->
-  let t = Serve_shard.create ~jobs:1 ~shards:2 ~cache_capacity:16 ~cache_file:path () in
+  let t = Serve_shard.create ~jobs:1 ~cache_capacity:16 ~cache_file:path () in
   Fun.protect ~finally:(fun () -> Serve_shard.shutdown t) @@ fun () ->
   check_bool "a solve lands first" true
     (status_of (Serve_shard.handle_line t (req ~budget:10.0 jobs3)) = Some "ok");
@@ -869,13 +843,13 @@ let test_health_op () =
     | Some (Obs_json.Int n) -> n
     | _ -> Alcotest.failf "health field %s missing" (String.concat "." keys)
   in
-  check_int "shard count reported" 2 (int_at [ "shards" ]);
+  check_int "one shard reported" 1 (int_at [ "shards" ]);
   check_int "cache occupancy reported" 1 (int_at [ "cache"; "size" ]);
-  check_int "cache capacity summed over shards" 32 (int_at [ "cache"; "capacity" ]);
+  check_int "cache capacity is the session's" 16 (int_at [ "cache"; "capacity" ]);
   check_int "journal append counted" 1 (int_at [ "journal"; "appends" ]);
   check_int "nothing replayed on a fresh store" 0 (int_at [ "journal"; "replayed" ]);
   (match Option.bind (Obs_json.member "inflight" h) Obs_json.to_list with
-  | Some ds -> check_int "per-shard inflight row per shard" 2 (List.length ds)
+  | Some ds -> check_bool "one inflight row" true (ds = [ Obs_json.Int 0 ])
   | None -> Alcotest.fail "health carries no inflight list");
   check_bool "breakers listed (default config on)" true
     (Obs_json.member "breakers" h <> None)
@@ -889,13 +863,13 @@ let test_crash_warm_recovery () =
   Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
   let c_root = Obs.counter "rootfind.calls" in
   let lines = List.init 3 (fun i -> req ~id:i ~budget:(9.0 +. float_of_int i) jobs3) in
-  let t1 = Serve_shard.create ~jobs:1 ~shards:1 ~cache_capacity:32 ~cache_file:path () in
+  let t1 = Serve_shard.create ~jobs:1 ~cache_capacity:32 ~cache_file:path () in
   let cold = Serve_shard.handle_batch t1 lines in
   (* crash: no compaction, no checkpoint — the journal alone recovers *)
   Serve_shard.abort t1;
   check_bool "no checkpoint was written by the crash" true (not (Sys.file_exists path));
   let roots_cold = Obs_metrics.value c_root in
-  let t2 = Serve_shard.create ~jobs:1 ~shards:2 ~cache_capacity:32 ~cache_file:path () in
+  let t2 = Serve_shard.create ~jobs:1 ~cache_capacity:32 ~cache_file:path () in
   Fun.protect ~finally:(fun () -> Serve_shard.shutdown t2) @@ fun () ->
   (match Serve_shard.journal_stats t2 with
   | Some js ->
@@ -914,12 +888,12 @@ let test_shutdown_then_journal_replays () =
   with_store @@ fun path ->
   let line = req ~budget:10.0 jobs3 in
   (* clean shutdown compacts: checkpoint present, journal empty *)
-  (with_shards ~shards:1 ~cache_file:path @@ fun t ->
+  (with_session ~cache_file:path @@ fun t ->
    ignore (Serve_shard.handle_line t line));
   check_bool "checkpoint written on shutdown" true (Sys.file_exists path);
   check_int "journal truncated by the shutdown compaction" 0
     (String.length (read_file (path ^ ".journal")));
-  let t = Serve_shard.create ~jobs:1 ~shards:1 ~cache_capacity:32 ~cache_file:path () in
+  let t = Serve_shard.create ~jobs:1 ~cache_capacity:32 ~cache_file:path () in
   Fun.protect ~finally:(fun () -> Serve_shard.shutdown t) @@ fun () ->
   match Serve_shard.journal_stats t with
   | Some js -> check_int "checkpoint replays after a clean shutdown" 1 js.Serve_journal.replayed
@@ -1002,38 +976,61 @@ let recv_line fd =
   done;
   Buffer.contents buf
 
+let pasched_exe () =
+  (* under `dune runtest` the cwd is _build/default/test (the CLI is a
+     declared dep); under `dune exec` it is the project root *)
+  let candidates =
+    [
+      Filename.concat Filename.parent_dir_name "bin/pasched.exe";
+      Filename.concat "_build/default/bin" "pasched.exe";
+    ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> Alcotest.fail "pasched.exe not found next to the test"
+
 let test_disconnect_mid_reply () =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let path = sock_path () in
   (try Sys.remove path with Sys_error _ -> ());
-  match Unix.fork () with
-  | 0 ->
-    (* the daemon process: must outlive a client that hangs up rudely *)
-    (try
-       let t = Serve.create ~jobs:1 ~cache_capacity:8 () in
-       Serve.run_socket ~path t;
-       Unix._exit 0
-     with _ -> Unix._exit 1)
-  | pid ->
-    Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    @@ fun () ->
-    wait_ready path 200;
-    (* rude client: submit real work, vanish before the reply *)
-    let rude = connect path in
-    send_line rude (req ~budget:10.0 jobs3);
-    Unix.close rude;
-    (* polite client: the daemon must still answer, then stop cleanly *)
-    let fd = connect path in
-    send_line fd {|{"id":1,"op":"ping"}|};
-    check_bool "daemon survives the disconnect and still answers" true
-      (status_of (recv_line fd) = Some "ok");
-    send_line fd {|{"id":2,"op":"shutdown"}|};
-    check_bool "shutdown acknowledged" true (status_of (recv_line fd) = Some "ok");
-    Unix.close fd;
-    (match Unix.waitpid [] pid with
-    | _, Unix.WEXITED 0 -> ()
-    | _, Unix.WEXITED n -> Alcotest.failf "daemon exited with %d" n
-    | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) -> Alcotest.failf "daemon killed by signal %d" s)
+  (* the daemon is a child process (no fork: the test binary already
+     runs pool domains); it must outlive a client that hangs up rudely *)
+  let exe = pasched_exe () in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process exe
+      [| exe; "serve"; "--socket"; path; "--jobs"; "1"; "--cache"; "8" |]
+      devnull devnull Unix.stderr
+  in
+  Unix.close devnull;
+  let reaped = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !reaped then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+      end;
+      try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  wait_ready path 200;
+  (* rude client: submit real work, vanish before the reply *)
+  let rude = connect path in
+  send_line rude (req ~budget:10.0 jobs3);
+  Unix.close rude;
+  (* polite client: the daemon must still answer, then stop cleanly *)
+  let fd = connect path in
+  send_line fd {|{"id":1,"op":"ping"}|};
+  check_bool "daemon survives the disconnect and still answers" true
+    (status_of (recv_line fd) = Some "ok");
+  send_line fd {|{"id":2,"op":"shutdown"}|};
+  check_bool "shutdown acknowledged" true (status_of (recv_line fd) = Some "ok");
+  Unix.close fd;
+  let _, status = Unix.waitpid [] pid in
+  reaped := true;
+  match status with
+  | Unix.WEXITED 0 -> ()
+  | Unix.WEXITED n -> Alcotest.failf "daemon exited with %d" n
+  | Unix.WSIGNALED s | Unix.WSTOPPED s -> Alcotest.failf "daemon killed by signal %d" s
 
 let () =
   Alcotest.run "serve"
@@ -1068,12 +1065,10 @@ let () =
           Alcotest.test_case "ops" `Quick test_ops;
           Alcotest.test_case "unknown-solver" `Quick test_unknown_solver_reply;
           Alcotest.test_case "pareto" `Quick test_pareto_reply;
+          Alcotest.test_case "wire-shape" `Quick test_wire_shape;
         ] );
       ( "shard",
         [
-          Alcotest.test_case "route-determinism" `Quick test_route_determinism;
-          Alcotest.test_case "route-monotone" `Quick test_route_monotone;
-          Alcotest.test_case "transparency" `Quick test_shard_transparency;
           Alcotest.test_case "busy-shed" `Quick test_busy_shed;
           Alcotest.test_case "snapshot-roundtrip" `Quick test_snapshot_roundtrip;
           Alcotest.test_case "snapshot-tolerant" `Quick test_snapshot_tolerant;
