@@ -697,9 +697,8 @@ let run_serve_shed () =
   Serve_shard.shutdown t;
   if st.Serve_shard.shed = 0 then failwith "serve_shed: admission control never shed"
 
-(* the serve-daemon soak input, generated exactly the way
-   `pasched sim --emit-requests 5` does: window-relative releases,
-   budget = 2x the window's work *)
+(* the serve-daemon soak input, emitted the way
+   `pasched sim --emit-requests 5` emits it *)
 let soak_request_lines =
   lazy
     (let s =
@@ -707,72 +706,32 @@ let soak_request_lines =
          ~size:(Workload.Stream.Pareto { shape = 2.2; scale = 0.5 })
          (Workload.Stream.Diurnal { base = 1.0; amplitude = 0.8; period = 1000.0 })
      in
-     let pair (j : Job.t) r0 =
-       Printf.sprintf "[%.17g,%.17g]" (j.Job.release -. r0) j.Job.work
-     in
-     let rec go acc i =
-       match Workload.Stream.take s 5 with
-       | [] -> List.rev acc
-       | jobs ->
-         let r0 = (List.hd jobs).Job.release in
-         let total = List.fold_left (fun a (j : Job.t) -> a +. j.Job.work) 0.0 jobs in
-         let line =
-           Printf.sprintf {|{"id":%d,"objective":"makespan","budget":%.17g,"jobs":[%s]}|} i
-             (2.0 *. total)
-             (String.concat "," (List.map (fun j -> pair j r0) jobs))
-         in
-         go (line :: acc) (i + 1)
-     in
-     go [] 0)
+     let lines = ref [] in
+     Serve_client.emit_requests ~alpha:3.0 ~batch:5 s (fun l -> lines := l :: !lines);
+     List.rev !lines)
 
 let run_serve_soak_100k () =
   let lines = Lazy.force soak_request_lines in
   let n = List.length lines in
   if n < 100_000 then failwith "serve_soak: trace emitted fewer than 10^5 requests";
   let t = Serve_shard.create ~jobs:1 ~max_inflight:24 ~cache_capacity:1024 () in
-  let metrics = Streaming_metrics.create () in
-  let ok = ref 0 and busy = ref 0 and err = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  let window = 64 in
-  let rec drive = function
-    | [] -> ()
-    | rest ->
-      let rec split k acc = function
-        | l :: tl when k < window -> split (k + 1) (l :: acc) tl
-        | tl -> (List.rev acc, tl)
-      in
-      let w, rest = split 0 [] rest in
-      let sent_at = Unix.gettimeofday () in
-      let replies = Serve_shard.handle_batch t w in
-      let now = Unix.gettimeofday () in
-      List.iter
-        (fun r ->
-          (match Serve_protocol.status_of r with
-          | Some "ok" -> incr ok
-          | Some "busy" -> incr busy
-          | _ -> incr err);
-          Streaming_metrics.observe metrics ~release:(sent_at -. t0) ~completion:(now -. t0))
-        replies;
-      drive rest
-  in
-  drive lines;
-  let wall = Unix.gettimeofday () -. t0 in
+  let r = Serve_client.soak ~window:64 ~exchange:(Serve_shard.handle_batch t) lines in
   let alive =
     Serve_protocol.status_of (Serve_shard.handle_line t {|{"op":"ping"}|}) = Some "ok"
   in
   let st = Serve_shard.stats t in
   Serve_shard.shutdown t;
-  let s = Streaming_metrics.snapshot metrics in
-  Printf.printf "soak: requests %d ok %d busy %d error %d shed %d\n" n !ok !busy !err
+  let s = r.Serve_client.latency in
+  Printf.printf "soak: requests %d ok %d busy %d error %d shed %d\n" n r.ok r.busy r.errors
     st.Serve_shard.shed;
   Printf.printf "soak: latency_s p50 %.6g p95 %.6g p99 %.6g max %.6g mean %.6g\n"
     s.Streaming_metrics.flow_p50 s.Streaming_metrics.flow_p95 s.Streaming_metrics.flow_p99
     s.Streaming_metrics.flow_max s.Streaming_metrics.flow_mean;
-  Printf.printf "soak: wall_s %.3f throughput_rps %.1f\n" wall (float_of_int n /. wall);
-  if !ok + !busy + !err <> n then failwith "serve_soak: requests went unanswered";
-  if !err > 0 then failwith "serve_soak: error replies under clean load";
-  if !busy = 0 then failwith "serve_soak: admission control never shed at max_inflight 24";
-  if !ok = 0 then failwith "serve_soak: nothing was admitted";
+  Printf.printf "soak: wall_s %.3f throughput_rps %.1f\n" r.wall_s (float_of_int n /. r.wall_s);
+  if r.ok + r.busy + r.errors <> n then failwith "serve_soak: requests went unanswered";
+  if r.errors > 0 then failwith "serve_soak: error replies under clean load";
+  if r.busy = 0 then failwith "serve_soak: admission control never shed at max_inflight 24";
+  if r.ok = 0 then failwith "serve_soak: nothing was admitted";
   if not (Float.is_finite s.Streaming_metrics.flow_p99) then
     failwith "serve_soak: p99 latency is not finite";
   if not alive then failwith "serve_soak: daemon dead after the soak"

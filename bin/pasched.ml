@@ -183,24 +183,18 @@ let parse_jobs_spec spec =
          | [ r; w ] -> (parse_float "release" r, parse_float "work" w)
          | _ -> failwith (Printf.sprintf "bad job %S, expected release:work" part))
 
+let file_lines path = String.split_on_char '\n' (In_channel.with_open_text path In_channel.input_all)
+
 let parse_jobs_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | exception End_of_file -> List.rev acc
-        | line ->
-          let line = String.trim line in
-          if line = "" || line.[0] = '#' then go acc
-          else begin
-            match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-            | [ r; w ] -> go ((parse_float "release" r, parse_float "work" w) :: acc)
-            | _ -> failwith (Printf.sprintf "bad line %S, expected: release work" line)
-          end
-      in
-      go [])
+  List.filter_map
+    (fun line ->
+      let line = String.trim line in
+      if line = "" || line.[0] = '#' then None
+      else
+        match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
+        | [ r; w ] -> Some (parse_float "release" r, parse_float "work" w)
+        | _ -> failwith (Printf.sprintf "bad line %S, expected: release work" line))
+    (file_lines path)
 
 let instance_term =
   let jobs =
@@ -826,37 +820,7 @@ let sim_cmd =
            Releases are window-relative so each batch is a well-formed
            instance on its own clock. *)
         if batch <= 0 then failwith "--emit-requests must be positive";
-        let stream = stream_of seed in
-        let finished = ref false in
-        let req = ref 0 in
-        while not !finished do
-          let jobs = Workload.Stream.take stream batch in
-          if jobs = [] then finished := true
-          else begin
-            let r0 = (List.hd jobs).Job.release in
-            let total = List.fold_left (fun acc (j : Job.t) -> acc +. j.Job.work) 0.0 jobs in
-            let json =
-              Obs_json.Obj
-                [
-                  ("id", Obs_json.Int !req);
-                  ("op", Obs_json.String "solve");
-                  ("objective", Obs_json.String "makespan");
-                  ("alpha", Obs_json.Float alpha);
-                  ("budget", Obs_json.Float (2.0 *. total));
-                  ( "jobs",
-                    Obs_json.List
-                      (List.map
-                         (fun (j : Job.t) ->
-                           Obs_json.List
-                             [ Obs_json.Float (j.Job.release -. r0); Obs_json.Float j.Job.work ])
-                         jobs) );
-                ]
-            in
-            print_endline (Obs_json.to_string json);
-            incr req;
-            if List.length jobs < batch then finished := true
-          end
-        done;
+        Serve_client.emit_requests ~alpha ~batch (stream_of seed) print_endline;
         `Ok ()
       | None ->
         let model = model_of_alpha alpha in
@@ -1168,6 +1132,33 @@ let fuzz_cmd =
 
 (* ---------- serve: the long-running solve daemon ---------- *)
 
+(* the session flags, shared by serve and soak (whose in-process session
+   or --chaos daemon they configure) *)
+let cache_term =
+  Arg.(
+    value & opt int 256
+    & info [ "cache" ] ~docv:"N"
+        ~doc:"LRU result-cache capacity in entries (default 256); least-recently-used eviction.")
+
+let max_inflight_term =
+  Arg.(
+    value & opt int 0
+    & info [ "max-inflight" ] ~docv:"N"
+        ~doc:
+          "Admission control: bound the in-flight solves per batch at $(docv); excess requests \
+           are shed with a typed busy reply (0 = unbounded, the default).")
+
+let cache_file_term =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "cache-file" ] ~docv:"PATH"
+        ~doc:
+          "Crash-safe cache persistence rooted at $(docv): every insert is appended to a \
+           CRC-framed write-ahead journal ($(docv).journal, flushed once per batch), replayed \
+           over the checkpoint at startup (torn or corrupt lines skipped), and periodically \
+           compacted into an atomically rewritten checkpoint.")
+
 let serve_cmd =
   let run obs par_jobs (policy, inject) socket cache_capacity max_batch max_inflight cache_file
       fsync compact_every breaker_threshold breaker_cooldown backlog =
@@ -1209,36 +1200,11 @@ let serve_cmd =
             "Listen on a Unix domain socket at $(docv) instead of serving stdin to stdout.  A \
              stale socket file is replaced; the path is unlinked on shutdown.")
   in
-  let cache =
-    Arg.(
-      value & opt int 256
-      & info [ "cache" ] ~docv:"N"
-          ~doc:"LRU result-cache capacity in entries (default 256); least-recently-used eviction.")
-  in
   let max_batch =
     Arg.(
       value & opt int 32
       & info [ "max-batch" ] ~docv:"N"
           ~doc:"Largest request batch dispatched to the domain pool at once (default 32).")
-  in
-  let max_inflight =
-    Arg.(
-      value & opt int 0
-      & info [ "max-inflight" ] ~docv:"N"
-          ~doc:
-            "Admission control: bound the in-flight solves per batch at $(docv); excess requests \
-             are shed with a typed busy reply (0 = unbounded, the default).")
-  in
-  let cache_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-file" ] ~docv:"PATH"
-          ~doc:
-            "Crash-safe cache persistence rooted at $(docv): every insert is appended to a \
-             CRC-framed write-ahead journal ($(docv).journal, flushed once per batch), replayed \
-             over the checkpoint at startup (torn or corrupt lines skipped), and periodically \
-             compacted into an atomically rewritten checkpoint.")
   in
   let fsync =
     Arg.(
@@ -1290,71 +1256,52 @@ let serve_cmd =
       ret
         (const run $ obs_term
         $ par_jobs_term [ "jobs"; "j" ]
-        $ guard_term $ socket $ cache $ max_batch $ max_inflight $ cache_file $ fsync
+        $ guard_term $ socket $ cache_term $ max_batch $ max_inflight_term $ cache_file_term $ fsync
         $ compact_every $ breaker_threshold $ breaker_cooldown $ backlog))
 
-(* one connect / send-all / read-all round over a Unix socket; raises
-   Failure on connect refusal or a mid-reply close *)
-let socket_exchange ~socket lines =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+(* ---------- client and soak: drive a daemon through Serve_client ---------- *)
+
+let non_blank = List.filter (fun l -> String.trim l <> "")
+
+(* request lines from --file, or stdin for none or '-' *)
+let read_request_file = function
+  | None | Some "-" -> non_blank (String.split_on_char '\n' (In_channel.input_all stdin))
+  | Some path -> non_blank (file_lines path)
+
+let file_term =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "file" ] ~docv:"PATH"
+        ~doc:"Read request lines from $(docv) ('-' = stdin, which the soak reads by default).")
+
+let retries_term =
+  Arg.(
+    value & opt int 0
+    & info [ "retries" ] ~docv:"N"
+        ~doc:
+          "Retry budget: transport failures (connect refused, connection closed mid-reply) \
+           resend the unanswered lines and transient replies (busy admission sheds, degraded \
+           breaker refusals) resend just those lines, with capped exponential backoff and \
+           decorrelated jitter between attempts.  Safe because requests are idempotent by \
+           canonical key.  The soak spends one budget per window.  Default 0 = fail fast.")
+
+let backoff_ms_term =
+  Arg.(
+    value & opt float 100.0
+    & info [ "backoff-ms" ] ~docv:"MS"
+        ~doc:
+          "Base backoff before the first retry (default 100; sleeps are uniform in \
+           [base, 3x previous], capped at 10s).")
+
+(* [f] gets the retrying exchange over one connection to [socket] *)
+let with_retrying_exchange ~socket ~retries ~backoff_ms f =
+  let backoff = Serve_client.backoff ~base_ms:backoff_ms ~seed:(Unix.getpid ()) () in
+  let conn = Serve_client.create socket in
   Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    ~finally:(fun () -> Serve_client.close conn)
     (fun () ->
-      (try Unix.connect fd (Unix.ADDR_UNIX socket)
-       with Unix.Unix_error (err, _, _) ->
-         failwith (Printf.sprintf "cannot connect to %s: %s" socket (Unix.error_message err)));
-      let payload = String.concat "\n" lines ^ "\n" in
-      let len = String.length payload in
-      let sent = ref 0 in
-      while !sent < len do
-        sent := !sent + Unix.write_substring fd payload !sent (len - !sent)
-      done;
-      (* one reply line per request line, in order *)
-      let want = List.length lines in
-      let buf = Buffer.create 4096 in
-      let chunk = Bytes.create 65536 in
-      let count s = String.fold_left (fun k c -> if c = '\n' then k + 1 else k) 0 s in
-      while count (Buffer.contents buf) < want do
-        let got = Unix.read fd chunk 0 (Bytes.length chunk) in
-        if got = 0 then failwith "server closed the connection mid-reply";
-        Buffer.add_subbytes buf chunk 0 got
-      done;
-      List.filteri (fun i _ -> i < want) (String.split_on_char '\n' (Buffer.contents buf)))
-
-(* merge a retry round's replies back over the transient slots they
-   were resent for *)
-let merge_retries replies retried transient_idx =
-  let slot = Hashtbl.create 8 in
-  List.iter2 (fun i r -> Hashtbl.replace slot i r) transient_idx retried;
-  List.mapi (fun i r -> match Hashtbl.find_opt slot i with Some r' -> r' | None -> r) replies
-
-(* retry loop shared by client and soak: transport failures retry the
-   whole set, transient replies (busy/degraded — conditions that clear
-   on their own) retry just those lines; solve requests are idempotent
-   by canonical key, so resending is always safe *)
-let exchange_with_retry ~exchange ~sched ~retries lines =
-  let rec go lines budget =
-    match exchange lines with
-    | exception ((Failure _ | Unix.Unix_error _) as e) ->
-      if budget > 0 then begin
-        Unix.sleepf (Serve_retry.next_ms sched /. 1000.0);
-        go lines (budget - 1)
-      end
-      else raise e
-    | replies ->
-      let transient_idx =
-        List.concat
-          (List.mapi (fun i r -> if Serve_retry.is_transient_reply r then [ i ] else []) replies)
-      in
-      if transient_idx = [] || budget <= 0 then replies
-      else begin
-        Unix.sleepf (Serve_retry.next_ms sched /. 1000.0);
-        let resend = List.map (List.nth lines) transient_idx in
-        let retried = go resend (budget - 1) in
-        merge_retries replies retried transient_idx
-      end
-  in
-  go lines retries
+      f (Serve_client.exchange_with_retry ~exchange:(Serve_client.exchange conn) ~backoff ~retries))
 
 let client_cmd =
   let run socket file reqs retries backoff_ms =
@@ -1362,54 +1309,22 @@ let client_cmd =
     else if backoff_ms <= 0.0 then `Error (false, "--backoff-ms must be > 0")
     else
       wrap_errors @@ fun () ->
-      (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-      let read_lines ic =
-        let rec go acc = match input_line ic with
-          | line -> go (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        go []
-      in
       let lines =
         match (reqs, file) with
-        | [], None -> read_lines stdin
-        | [], Some "-" -> read_lines stdin
-        | [], Some path ->
-          let ic = open_in path in
-          Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read_lines ic)
-        | rs, None -> rs
+        | [], file -> read_request_file file
+        | rs, None -> non_blank rs
         | _ :: _, Some _ -> failwith "give positional requests or --file, not both"
       in
-      let lines = List.filter (fun l -> String.trim l <> "") lines in
-      if lines = [] then `Ok ()
-      else begin
-        let sched = Serve_retry.create ~base_ms:backoff_ms ~seed:(Unix.getpid ()) () in
-        let replies =
-          exchange_with_retry ~exchange:(socket_exchange ~socket) ~sched ~retries lines
-        in
+      match lines with
+      | [] -> `Ok ()
+      | lines -> (
+        let replies = with_retrying_exchange ~socket ~retries ~backoff_ms (fun ex -> ex lines) in
         List.iter print_endline replies;
         (* exit-code contract: first error reply's class decides, same
            codes as the one-shot subcommands *)
-        let code_of reply =
-          match Obs_json.of_string reply with
-          | Ok doc -> (
-            match Option.bind (Obs_json.member "status" doc) Obs_json.to_string_val with
-            | Some "ok" -> 0
-            | Some "busy" | Some "degraded" -> 7
-            | _ -> (
-              match Option.bind (Obs_json.member "class" doc) Obs_json.to_string_val with
-              | Some "invalid-input" -> 2
-              | Some "infeasible" -> 3
-              | Some "no-convergence" -> 4
-              | Some "deadline" -> 5
-              | Some "busy" | Some "breaker-open" -> 7
-              | _ -> 6))
-          | Error _ -> 6
-        in
-        match List.find_opt (fun r -> code_of r <> 0) replies with
+        match List.find_opt (fun r -> Serve_client.reply_exit_code r <> 0) replies with
         | None -> `Ok ()
-        | Some bad -> Stdlib.exit (code_of bad)
-      end
+        | Some bad -> Stdlib.exit (Serve_client.reply_exit_code bad))
   in
   let socket =
     Arg.(
@@ -1417,38 +1332,13 @@ let client_cmd =
       & opt (some string) None
       & info [ "socket" ] ~docv:"PATH" ~doc:"Unix socket of the running $(b,pasched serve).")
   in
-  let file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "file" ] ~docv:"PATH"
-          ~doc:"Read request lines from $(docv) ('-' = stdin) instead of the command line.")
-  in
   let reqs = Arg.(value & pos_all string [] & info [] ~docv:"REQUEST" ~doc:"Request lines (JSON).") in
-  let retries =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Retry budget: transport failures (connect refused, connection closed mid-reply) \
-             resend the unanswered lines and transient replies (busy admission sheds, degraded \
-             breaker refusals) resend just those lines, with capped exponential backoff and \
-             decorrelated jitter between attempts.  Safe because requests are idempotent by \
-             canonical key.  Default 0 = fail fast.")
-  in
-  let backoff_ms =
-    Arg.(
-      value & opt float 100.0
-      & info [ "backoff-ms" ] ~docv:"MS"
-          ~doc:"Base backoff before the first retry (default 100; sleeps are uniform in \
-                [base, 3x previous], capped at 10s).")
-  in
   Cmd.v
     (Cmd.info "client"
        ~doc:
          "Send request lines to a running serve daemon and print the replies; exits with the \
           first error reply's class code (7 = transient: shed busy or breaker degraded).")
-    Term.(ret (const run $ socket $ file $ reqs $ retries $ backoff_ms))
+    Term.(ret (const run $ socket $ file_term $ reqs $ retries_term $ backoff_ms_term))
 
 let soak_cmd =
   let run obs par_jobs socket file max_inflight cache_capacity cache_file window retries backoff_ms
@@ -1469,268 +1359,46 @@ let soak_cmd =
       else
         wrap_errors @@ fun () ->
         with_obs obs "soak" @@ fun () ->
-        let read_lines ic =
-          let rec go acc =
-            match input_line ic with
-            | line -> go (line :: acc)
-            | exception End_of_file -> List.rev acc
-          in
-          go []
-        in
-        let lines =
-          match file with
-          | None | Some "-" -> read_lines stdin
-          | Some path ->
-            let ic = open_in path in
-            Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read_lines ic)
-        in
-        let lines = List.filter (fun l -> String.trim l <> "") lines in
+        let lines = read_request_file file in
         if lines = [] then failwith "no requests to soak with (pipe pasched sim --emit-requests)";
-        let windows =
-          let rec chunk acc cur k = function
-            | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-            | l :: rest ->
-              if k = window then chunk (List.rev cur :: acc) [ l ] 1 rest
-              else chunk acc (l :: cur) (k + 1) rest
-          in
-          chunk [] [] 0 lines
-        in
-        let metrics = Streaming_metrics.create () in
-        let ok = ref 0 and busy = ref 0 and err = ref 0 in
-        let t0 = Unix.gettimeofday () in
-        let classify reply =
-          match Serve_protocol.status_of reply with
-          | Some "ok" -> incr ok
-          | Some ("busy" | "degraded") -> incr busy
-          | _ -> incr err
-        in
-        (* window-granular latency: every request in a pipelined window
-           shares the window's send -> last-reply round trip *)
-        let observe sent_at replies =
-          let now = Unix.gettimeofday () in
-          List.iter
-            (fun r ->
-              classify r;
-              Streaming_metrics.observe metrics ~release:(sent_at -. t0) ~completion:(now -. t0))
-            replies
-        in
-        (match socket with
-        | Some path ->
-          (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-          (* one persistent pipelined connection, re-established by the
-             retry loop whenever the daemon goes away under us *)
-          let sched = Serve_retry.create ~base_ms:backoff_ms ~seed:(Unix.getpid ()) () in
-          let conn : Unix.file_descr option ref = ref None in
-          let buf = Buffer.create 65536 in
-          let chunk = Bytes.create 65536 in
-          let close_conn () =
-            match !conn with
-            | Some fd ->
-              (try Unix.close fd with Unix.Unix_error _ -> ());
-              conn := None
-            | None -> ()
-          in
-          let get_conn () =
-            match !conn with
-            | Some fd -> fd
-            | None ->
-              let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-              (match Unix.connect fd (Unix.ADDR_UNIX path) with
-              | () ->
-                Buffer.clear buf;
-                conn := Some fd;
-                fd
-              | exception e ->
-                (try Unix.close fd with Unix.Unix_error _ -> ());
-                raise e)
-          in
-          let send_recv w =
-            match
-              let fd = get_conn () in
-              let payload = String.concat "\n" w ^ "\n" in
-              let len = String.length payload in
-              let sent = ref 0 in
-              while !sent < len do
-                sent := !sent + Unix.write_substring fd payload !sent (len - !sent)
-              done;
-              let want = List.length w in
-              let replies = ref [] in
-              let got = ref 0 in
-              while !got < want do
-                (match String.index_opt (Buffer.contents buf) '\n' with
-                | Some nl ->
-                  let s = Buffer.contents buf in
-                  replies := String.sub s 0 nl :: !replies;
-                  incr got;
-                  Buffer.clear buf;
-                  Buffer.add_substring buf s (nl + 1) (String.length s - nl - 1)
-                | None ->
-                  let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-                  if n = 0 then failwith "server closed the connection mid-soak";
-                  Buffer.add_subbytes buf chunk 0 n)
-              done;
-              List.rev !replies
-            with
-            | replies -> replies
-            | exception e ->
-              (* a half-read window is garbage: drop the connection so
-                 the retry resends the whole window on a fresh one
-                 (idempotent by canonical key) *)
-              close_conn ();
-              raise e
-          in
-          let exchange_window w = exchange_with_retry ~exchange:send_recv ~sched ~retries w in
-          (* ---- chaos drill: the soak owns the daemon's lifecycle ---- *)
-          let daemon_pid = ref None in
-          let spawn_daemon () =
-            let cf = Option.get cache_file in
-            let args =
-              [ Sys.executable_name; "serve"; "--socket"; path; "--cache-file"; cf;
-                "--cache"; string_of_int cache_capacity ]
-              @ (if max_inflight > 0 then [ "--max-inflight"; string_of_int max_inflight ]
-                 else [])
-            in
-            let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-            let pid =
-              Unix.create_process Sys.executable_name (Array.of_list args) devnull devnull
-                Unix.stderr
-            in
-            Unix.close devnull;
-            daemon_pid := Some pid
-          in
-          let wait_ready () =
-            let rec go k =
-              if k = 0 then failwith (Printf.sprintf "daemon never answered on %s" path)
+        let r =
+          match socket with
+          | Some path ->
+            let chaos =
+              if not chaos then None
               else
-                match socket_exchange ~socket:path [ {|{"op":"ping"}|} ] with
-                | _ -> ()
-                | exception (Failure _ | Unix.Unix_error _) ->
-                  Unix.sleepf 0.05;
-                  go (k - 1)
-            in
-            go 200
-          in
-          (* (cache size, journal replayed, journal skipped_corrupt)
-             off a fresh health connection *)
-          let health () =
-            match socket_exchange ~socket:path [ {|{"op":"health"}|} ] with
-            | [ reply ] -> (
-              match Obs_json.of_string reply with
-              | Error _ -> failwith "unparseable health reply"
-              | Ok doc ->
-                let h = Obs_json.member "health" doc in
-                let get path =
-                  List.fold_left (fun acc k -> Option.bind acc (Obs_json.member k)) h path
+                let serve_args =
+                  [ "--cache-file"; Option.get cache_file; "--cache"; string_of_int cache_capacity ]
+                  @ if max_inflight > 0 then [ "--max-inflight"; string_of_int max_inflight ] else []
                 in
-                let int_at path = Option.value ~default:0 (Option.bind (get path) Obs_json.to_int) in
-                ( int_at [ "cache"; "size" ],
-                  int_at [ "journal"; "replayed" ],
-                  int_at [ "journal"; "skipped_corrupt" ] ))
-            | _ -> failwith "health: expected one reply"
-          in
-          if chaos then begin
-            spawn_daemon ();
-            wait_ready ()
-          end;
-          let windows = Array.of_list windows in
-          let nwin = Array.length windows in
-          let kill_idx =
-            if chaos then Int.max 0 (Int.min (nwin - 1) (int_of_float (kill_at *. float_of_int nwin)))
-            else -1
-          in
-          (* first ok reply per pre-crash request line: the byte-identity
-             oracle for post-recovery answers *)
-          let first_ok : (string, string) Hashtbl.t = Hashtbl.create 4096 in
-          let pre = ref (0, 0, 0) and post = ref (0, 0, 0) in
-          let killed = ref false in
-          Array.iteri
-            (fun wi w ->
-              if chaos && wi = kill_idx then begin
-                pre := health ();
-                (match !daemon_pid with
-                | Some pid ->
-                  Unix.kill pid Sys.sigkill;
-                  ignore (Unix.waitpid [] pid);
-                  daemon_pid := None
-                | None -> ());
-                (* the soak's own connection is now dead — deliberately
-                   left open so the next window exercises the retry
-                   path, exactly like a production client *)
-                spawn_daemon ();
-                wait_ready ();
-                post := health ();
-                killed := true
-              end;
-              let sent_at = Unix.gettimeofday () in
-              let replies = exchange_window w in
-              if chaos && not !killed then
-                List.iter2
-                  (fun line reply ->
-                    if
-                      Serve_protocol.status_of reply = Some "ok"
-                      && not (Hashtbl.mem first_ok line)
-                    then Hashtbl.replace first_ok line reply)
-                  w replies;
-              observe sent_at replies)
-            windows;
-          if chaos then begin
-            let pre_size, _, _ = !pre in
-            let post_size, replayed, skipped = !post in
-            let warm =
-              if pre_size = 0 then 1.0 else float_of_int post_size /. float_of_int pre_size
+                Some { Serve_client.exe = Sys.executable_name; socket = path; serve_args; kill_at }
             in
-            (* resend a sample of pre-crash requests: recovered answers
-               must be byte-identical to the ones the dead daemon gave *)
-            let sample =
-              let all = Hashtbl.fold (fun l r acc -> (l, r) :: acc) first_ok [] in
-              List.filteri (fun i _ -> i < 512) all
-            in
-            let mismatches = ref 0 in
-            List.iter
-              (fun (line, expect) ->
-                match exchange_window [ line ] with
-                | [ got ] -> if got <> expect then incr mismatches
-                | _ -> incr mismatches)
-              sample;
+            with_retrying_exchange ~socket:path ~retries ~backoff_ms (fun exchange ->
+                Serve_client.soak ~window ?chaos ~exchange lines)
+          | None ->
+            (* in-process mode: the same session the daemon runs, driven
+               directly — no transport in the numbers *)
+            let t = Serve_shard.create ?jobs:par_jobs ~cache_capacity ~max_inflight ?cache_file () in
+            Fun.protect
+              ~finally:(fun () -> Serve_shard.shutdown t)
+              (fun () -> Serve_client.soak ~window ~exchange:(Serve_shard.handle_batch t) lines)
+        in
+        Option.iter
+          (fun (c : Serve_client.recovery) ->
             Printf.printf
               "chaos: killed_window %d pre_cache %d post_cache %d replayed %d skipped_corrupt %d \
                warm_fraction %.3f\n"
-              kill_idx pre_size post_size replayed skipped warm;
-            Printf.printf "chaos: recheck %d mismatches %d\n" (List.length sample) !mismatches;
-            (try ignore (socket_exchange ~socket:path [ {|{"op":"shutdown"}|} ])
-             with Failure _ | Unix.Unix_error _ -> ());
-            (match !daemon_pid with
-            | Some pid -> ( try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-            | None -> ());
-            if warm < 0.9 then
-              failwith (Printf.sprintf "chaos: warm recovery %.3f below the 0.9 threshold" warm);
-            if !mismatches > 0 then
-              failwith
-                (Printf.sprintf "chaos: %d post-crash replies diverged from pre-crash answers"
-                   !mismatches)
-          end;
-          close_conn ()
-        | None ->
-          (* in-process mode: the same session the daemon runs, driven
-             directly — no transport in the numbers *)
-          let t = Serve_shard.create ?jobs:par_jobs ~cache_capacity ~max_inflight ?cache_file () in
-          Fun.protect
-            ~finally:(fun () -> Serve_shard.shutdown t)
-            (fun () ->
-              List.iter
-                (fun w ->
-                  let sent_at = Unix.gettimeofday () in
-                  observe sent_at (Serve_shard.handle_batch t w))
-                windows));
-        let wall = Unix.gettimeofday () -. t0 in
-        let s = Streaming_metrics.snapshot metrics in
-        let n = List.length lines in
-        Printf.printf "soak: requests %d ok %d busy %d error %d\n" n !ok !busy !err;
+              c.killed_window c.pre_cache c.post_cache c.replayed c.skipped_corrupt c.warm_fraction;
+            Printf.printf "chaos: recheck %d mismatches %d\n" c.recheck c.mismatches;
+            Serve_client.check_recovery c)
+          r.Serve_client.recovery;
+        let s = r.Serve_client.latency in
+        Printf.printf "soak: requests %d ok %d busy %d error %d\n" r.requests r.ok r.busy r.errors;
         Printf.printf "soak: latency_s p50 %.6g p95 %.6g p99 %.6g max %.6g mean %.6g\n"
           s.Streaming_metrics.flow_p50 s.Streaming_metrics.flow_p95 s.Streaming_metrics.flow_p99
           s.Streaming_metrics.flow_max s.Streaming_metrics.flow_mean;
-        Printf.printf "soak: wall_s %.3f throughput_rps %.1f\n" wall
-          (if wall > 0.0 then float_of_int n /. wall else 0.0);
+        Printf.printf "soak: wall_s %.3f throughput_rps %.1f\n" r.wall_s
+          (if r.wall_s > 0.0 then float_of_int r.requests /. r.wall_s else 0.0);
         `Ok ()
   in
   let socket =
@@ -1742,30 +1410,6 @@ let soak_cmd =
             "Drive a running $(b,pasched serve) over its Unix socket.  Without this flag the soak \
              drives an in-process serve session instead.")
   in
-  let file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "file" ] ~docv:"PATH"
-          ~doc:"Read request lines from $(docv) ('-' = stdin, the default).")
-  in
-  let max_inflight =
-    Arg.(
-      value & opt int 0
-      & info [ "max-inflight" ] ~docv:"N"
-          ~doc:"In-process mode: per-batch admission bound (0 = unbounded).")
-  in
-  let cache =
-    Arg.(
-      value & opt int 256
-      & info [ "cache" ] ~docv:"N" ~doc:"In-process mode: LRU capacity (default 256).")
-  in
-  let cache_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-file" ] ~docv:"PATH" ~doc:"In-process mode: LRU persistence file.")
-  in
   let window =
     Arg.(
       value & opt int 64
@@ -1773,20 +1417,6 @@ let soak_cmd =
           ~doc:
             "Pipelining window: requests are sent (or dispatched) $(docv) at a time and latency is \
              measured per window (default 64).")
-  in
-  let retries =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Socket mode: retry transient failures (connection loss, busy, degraded) up to $(docv) \
-             times per window with capped exponential backoff (default 0 = fail fast).")
-  in
-  let backoff_ms =
-    Arg.(
-      value & opt float 100.0
-      & info [ "backoff-ms" ] ~docv:"MS"
-          ~doc:"Base retry backoff in milliseconds; sleeps jitter up from here (default 100).")
   in
   let chaos =
     Arg.(
@@ -1810,13 +1440,15 @@ let soak_cmd =
        ~doc:
          "Soak a serve daemon (or an in-process serve session) with emitted request traces and \
           report p50/p95/p99 request latency, shed counts and throughput.  With $(b,--chaos), run \
-          a kill-recovery drill against the crash-safe journal.")
+          a kill-recovery drill against the crash-safe journal.  $(b,--cache), \
+          $(b,--max-inflight) and $(b,--cache-file) configure the in-process session, or the \
+          daemon that $(b,--chaos) spawns; a soak of a running daemon ignores them.")
     Term.(
       ret
         (const run $ obs_term
         $ par_jobs_term [ "jobs"; "j" ]
-        $ socket $ file $ max_inflight $ cache $ cache_file $ window $ retries
-        $ backoff_ms $ chaos $ kill_at))
+        $ socket $ file_term $ max_inflight_term $ cache_term $ cache_file_term $ window $ retries_term
+        $ backoff_ms_term $ chaos $ kill_at))
 
 let () =
   let doc = "power-aware speed-scaling schedulers (Bunde, SPAA 2006)" in

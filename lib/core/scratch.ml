@@ -1,11 +1,11 @@
 (* Per-domain scratch arena for the kernel hot paths.
 
-   One arena per domain (Domain.DLS on OCaml 5, a lazy global on 4.14
-   — see the Scratch_slot copy rule in dune): a Par pool worker keeps
-   its buffers across every solve it evaluates, so warm calls to
-   Flow.solve_budget and the chunked Flow_frontier.curve allocate
-   nothing proportional to the instance.  Buffers only ever grow; the
-   grow counter below makes regrowth visible under --metrics. *)
+   One arena per domain (a Par.Slot: Domain.DLS on OCaml 5, a lazy
+   global on 4.14): a Par pool worker keeps its buffers across every
+   solve it evaluates, so warm calls to Flow.solve_budget and the
+   chunked Flow_frontier.curve allocate nothing proportional to the
+   instance.  Buffers only ever grow; the grow counter below makes
+   regrowth visible under --metrics. *)
 
 let c_grows = Obs.counter "scratch.grows"
 let c_harmonic = Obs.counter "scratch.harmonic_builds"
@@ -37,8 +37,8 @@ let create () =
     h_len = -1;
   }
 
-let slot = Scratch_slot.make create
-let get () = Scratch_slot.get slot
+let slot = Par.Slot.make create
+let get () = Par.Slot.get slot
 
 (* doubling keeps the number of regrowths logarithmic in the largest
    instance a domain ever sees *)

@@ -4,10 +4,9 @@
     run stack, and every {!Incmerge} pass rebuilds a block stack; with
     per-call allocation those stacks dominate the allocation profile
     of a Pareto sweep or a serve batch.  This module keeps one arena
-    of growable buffers {e per domain} — [Domain.DLS] on OCaml 5, a
-    lazily created global on 4.14 where execution is sequential (the
-    [Scratch_slot] copy rule in [lib/core/dune], mirroring
-    [lib/fault]) — so warm kernel calls reuse storage and allocate
+    of growable buffers {e per domain} in a {!Par.Slot} — [Domain.DLS]
+    on OCaml 5, a lazily created global on 4.14 where execution is
+    sequential — so warm kernel calls reuse storage and allocate
     nothing proportional to the instance.
 
     {2 Ownership and validity}

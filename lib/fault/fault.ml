@@ -17,16 +17,16 @@ let null =
     iter_cap = None;
   }
 
-let slot : hooks Fault_slot.slot = Fault_slot.make ()
-let current () = Fault_slot.get slot
+let slot : hooks option Par.Slot.t = Par.Slot.make (fun () -> None)
+let current () = Par.Slot.get slot
 let installed () = Option.is_some (current ())
-let install h = Fault_slot.set slot (Some h)
-let clear () = Fault_slot.set slot None
+let install h = Par.Slot.set slot (Some h)
+let clear () = Par.Slot.set slot None
 
 let with_hooks h f =
   let saved = current () in
-  Fault_slot.set slot (Some h);
-  Fun.protect ~finally:(fun () -> Fault_slot.set slot saved) f
+  Par.Slot.set slot (Some h);
+  Fun.protect ~finally:(fun () -> Par.Slot.set slot saved) f
 
 let tick () =
   match current () with

@@ -8,9 +8,10 @@
     of them are no-ops reading one domain-local word when no hooks are
     installed, so instrumented code pays nothing in normal operation.
 
-    Hooks are {e domain-local} on OCaml 5 (a [Par] worker arming fault
-    injection for one fuzz case cannot perturb sibling domains) and a
-    plain global on 4.14, where execution is sequential. *)
+    Hooks live in a {!Par.Slot}: {e domain-local} on OCaml 5 (a [Par]
+    worker arming fault injection for one fuzz case cannot perturb
+    sibling domains) and a plain global on 4.14, where execution is
+    sequential. *)
 
 type hooks = {
   on_tick : unit -> unit;

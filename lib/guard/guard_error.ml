@@ -36,6 +36,20 @@ let exit_code = function
   | Deadline_exceeded _ -> 5
   | Solver_fault _ -> 6
 
+(* one witness per constructor, so the class-string lookup is derived
+   from [class_string] and [exit_code] instead of retyping their table *)
+let witnesses =
+  [
+    Invalid_input "";
+    Infeasible "";
+    No_convergence { iters = 0; residual = 0.0 };
+    Deadline_exceeded { budget_s = 0.0; elapsed_s = 0.0 };
+    Solver_fault { solver = ""; exn = Exit };
+  ]
+
+let exit_code_of_class c =
+  List.find_map (fun e -> if class_string e = c then Some (exit_code e) else None) witnesses
+
 let to_string = function
   | Invalid_input msg -> "invalid input: " ^ msg
   | Infeasible msg -> "infeasible: " ^ msg

@@ -46,5 +46,11 @@ val exit_code : t -> int
 (** 2, 3, 4, 5 or 6 respectively (0/1 are success/fuzz-counterexample,
     124/125 remain cmdliner's usage/internal codes). *)
 
+val exit_code_of_class : string -> int option
+(** The exit code of a class read back from its string (the ["class"]
+    of a serve error reply): [exit_code_of_class (class_string e)] is
+    [Some (exit_code e)] for every [e], and any other string is
+    [None]. *)
+
 val to_string : t -> string
 (** One-line human-readable message (no backtrace). *)

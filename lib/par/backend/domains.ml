@@ -194,3 +194,15 @@ let pool_shutdown pool =
     Array.iter Domain.join pool.workers;
     pool.workers <- [||]
   end
+
+(* ---------------- domain-local slot ---------------- *)
+
+(* One value per domain, created by [init] on the domain's first read:
+   the kernel scratch arenas and the Fault hook slot.  A worker never
+   observes (or clobbers) a sibling's value, and a freshly spawned
+   domain starts from [init ()]. *)
+type 'a slot = 'a Domain.DLS.key
+
+let slot_make init : 'a slot = Domain.DLS.new_key init
+let slot_get = Domain.DLS.get
+let slot_set = Domain.DLS.set

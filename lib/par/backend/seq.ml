@@ -27,3 +27,19 @@ let pool_jobs _ = 1
 let pool_init _pool n f = init ~jobs:1 n f
 
 let pool_shutdown pool = pool.stopping <- true
+
+(* Without domains execution is sequential, so one lazily initialized
+   global has the same visibility semantics as the domain-local slot. *)
+type 'a slot = { init : unit -> 'a; mutable v : 'a option }
+
+let slot_make init = { init; v = None }
+
+let slot_get s =
+  match s.v with
+  | Some v -> v
+  | None ->
+    let v = s.init () in
+    s.v <- Some v;
+    v
+
+let slot_set s v = s.v <- Some v

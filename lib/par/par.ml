@@ -55,3 +55,11 @@ module Pool = struct
   let try_map pool f a = try_init pool (Array.length a) (fun i -> f a.(i))
   let shutdown = Par_pool.pool_shutdown
 end
+
+module Slot = struct
+  type 'a t = 'a Par_pool.slot
+
+  let make = Par_pool.slot_make
+  let get = Par_pool.slot_get
+  let set = Par_pool.slot_set
+end

@@ -140,3 +140,23 @@ module Pool : sig
   (** Stop and join the workers.  Idempotent; subsequent {!init} calls
       degrade to sequential evaluation rather than failing. *)
 end
+
+(** One value per domain: [Domain.DLS] on the domains backend, a lazily
+    initialized global on the sequential backend (where execution is
+    sequential, so the visibility is the same).  The kernel scratch
+    arenas ([Scratch]) and the [Fault] hook slot live here, so a worker
+    domain never sees a sibling's value. *)
+module Slot : sig
+  type 'a t
+
+  val make : (unit -> 'a) -> 'a t
+  (** [make init] is a fresh slot; each domain's value is [init ()]
+      on its first {!get}. *)
+
+  val get : 'a t -> 'a
+  (** The calling domain's value.  One domain-local load after the
+      first call. *)
+
+  val set : 'a t -> 'a -> unit
+  (** Replace the calling domain's value; other domains are unaffected. *)
+end

@@ -899,82 +899,141 @@ let test_shutdown_then_journal_replays () =
   | Some js -> check_int "checkpoint replays after a clean shutdown" 1 js.Serve_journal.replayed
   | None -> Alcotest.fail "no journal stats"
 
-(* ---------------- client retry schedule ---------------- *)
+(* ---------------- client: retry, exit codes, soak driver ---------------- *)
 
 let test_retry_bounds () =
-  let sched = Serve_retry.create ~base_ms:50.0 ~cap_ms:400.0 ~seed:7 () in
-  let first = Serve_retry.next_ms sched in
+  let sched = Serve_client.backoff ~base_ms:50.0 ~cap_ms:400.0 ~seed:7 () in
+  let first = Serve_client.next_ms sched in
   check_bool "first sleep within [base, 3*base]" true (first >= 50.0 && first <= 150.0);
   for _ = 1 to 100 do
-    let s = Serve_retry.next_ms sched in
+    let s = Serve_client.next_ms sched in
     check_bool "every sleep within [base, cap]" true (s >= 50.0 && s <= 400.0)
   done;
-  Serve_retry.reset sched;
-  let after_reset = Serve_retry.next_ms sched in
-  check_bool "reset restarts the schedule at base scale" true
-    (after_reset >= 50.0 && after_reset <= 150.0);
   (* same seed, same schedule: reproducible for tests *)
-  let a = Serve_retry.create ~base_ms:50.0 ~cap_ms:400.0 ~seed:11 () in
-  let b = Serve_retry.create ~base_ms:50.0 ~cap_ms:400.0 ~seed:11 () in
+  let a = Serve_client.backoff ~base_ms:50.0 ~cap_ms:400.0 ~seed:11 () in
+  let b = Serve_client.backoff ~base_ms:50.0 ~cap_ms:400.0 ~seed:11 () in
   for _ = 1 to 20 do
-    check_bool "deterministic per seed" true (Serve_retry.next_ms a = Serve_retry.next_ms b)
+    check_bool "deterministic per seed" true (Serve_client.next_ms a = Serve_client.next_ms b)
   done;
   check_bool "invalid base rejected" true
-    (match Serve_retry.create ~base_ms:0.0 () with
+    (match Serve_client.backoff ~base_ms:0.0 () with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
 let test_retry_transient_classifier () =
   check_bool "busy retries" true
-    (Serve_retry.is_transient_reply {|{"id":1,"status":"busy","class":"busy"}|});
+    (Serve_client.is_transient_reply {|{"id":1,"status":"busy","class":"busy"}|});
   check_bool "degraded retries" true
-    (Serve_retry.is_transient_reply {|{"id":1,"status":"degraded","class":"breaker-open"}|});
-  check_bool "ok does not retry" false (Serve_retry.is_transient_reply {|{"status":"ok"}|});
+    (Serve_client.is_transient_reply {|{"id":1,"status":"degraded","class":"breaker-open"}|});
+  check_bool "ok does not retry" false (Serve_client.is_transient_reply {|{"status":"ok"}|});
   check_bool "hard errors do not retry" false
-    (Serve_retry.is_transient_reply {|{"status":"error","class":"infeasible"}|});
-  check_bool "garbage does not retry" false (Serve_retry.is_transient_reply "not json")
+    (Serve_client.is_transient_reply {|{"status":"error","class":"infeasible"}|});
+  check_bool "garbage does not retry" false (Serve_client.is_transient_reply "not json")
 
-(* ---------------- socket hardening: client death mid-reply ---------------- *)
+let fake_reply status line k = Printf.sprintf {|{"status":"%s","for":"%s","attempt":%d}|} status line k
 
-let sock_path () =
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "pasched_test_%d.sock" (Unix.getpid ()))
+(* a scripted exchange: [script k line] answers [line] on attempt [k]
+   (counted from 1), or raises for the whole attempt; every attempt's
+   lines are recorded *)
+let scripted script =
+  let calls = ref [] in
+  let exchange lines =
+    calls := lines :: !calls;
+    let k = List.length !calls in
+    List.map (fun l -> script k l) lines
+  in
+  (exchange, fun () -> List.rev !calls)
 
-let connect path =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match Unix.connect fd (Unix.ADDR_UNIX path) with
-  | () -> fd
-  | exception e ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    raise e
+let retry ~retries exchange lines =
+  Serve_client.exchange_with_retry ~exchange
+    ~backoff:(Serve_client.backoff ~base_ms:0.01 ~cap_ms:0.05 ())
+    ~retries lines
 
-let rec wait_ready path k =
-  if k = 0 then Alcotest.fail "daemon socket never came up"
-  else
-    match connect path with
-    | fd -> Unix.close fd
-    | exception Unix.Unix_error _ ->
-      Unix.sleepf 0.05;
-      wait_ready path (k - 1)
+let test_retry_fake_exchange () =
+  let lines = [ "a"; "b"; "c"; "d" ] in
+  let check_calls what expected calls = Alcotest.(check (list (list string))) what expected calls in
+  (* a transport failure resends the whole window *)
+  let ex, calls = scripted (fun k l -> if k = 1 then failwith "down" else fake_reply "ok" l k) in
+  Alcotest.(check (list string)) "transport retry answers every line"
+    (List.map (fun l -> fake_reply "ok" l 2) lines) (retry ~retries:3 ex lines);
+  check_calls "transport failure resends the whole window" [ lines; lines ] (calls ());
+  (* transient replies resend only their own lines, merged back in order *)
+  let ex, calls =
+    scripted (fun k l ->
+        match (k, l) with
+        | 1, "b" -> fake_reply "busy" l k
+        | 1, "d" -> fake_reply "degraded" l k
+        | _ -> fake_reply "ok" l k)
+  in
+  Alcotest.(check (list string)) "retried replies merge back in request order"
+    [ fake_reply "ok" "a" 1; fake_reply "ok" "b" 2; fake_reply "ok" "c" 1; fake_reply "ok" "d" 2 ]
+    (retry ~retries:3 ex lines);
+  check_calls "only the transient lines are resent" [ lines; [ "b"; "d" ] ] (calls ());
+  (* an exhausted budget returns the last replies as they are *)
+  let ex, calls = scripted (fun k l -> fake_reply (if l = "c" then "ok" else "busy") l k) in
+  Alcotest.(check (list string)) "exhausted budget returns the last replies"
+    [ fake_reply "busy" "a" 3; fake_reply "busy" "b" 3; fake_reply "ok" "c" 1; fake_reply "busy" "d" 3 ]
+    (retry ~retries:2 ex lines);
+  check_int "one attempt plus the whole budget" 3 (List.length (calls ()));
+  (* ... and re-raises a transport failure *)
+  let ex, calls = scripted (fun _ _ -> failwith "down for good") in
+  check_bool "exhausted transport failure re-raises" true
+    (match retry ~retries:2 ex lines with exception Failure _ -> true | _ -> false);
+  check_int "every attempt resent the window" 3 (List.length (calls ()));
+  let ex, _ = scripted (fun k l -> fake_reply "busy" l k) in
+  Alcotest.(check (list string)) "no budget, no resend"
+    (List.map (fun l -> fake_reply "busy" l 1) lines) (retry ~retries:0 ex lines)
 
-let send_line fd line =
-  let payload = line ^ "\n" in
-  let len = String.length payload in
-  let sent = ref 0 in
-  while !sent < len do
-    sent := !sent + Unix.write_substring fd payload !sent (len - !sent)
-  done
+let test_exit_codes () =
+  let reply payload = Serve_protocol.reply_string ~id:(Obs_json.Int 1) payload in
+  List.iter
+    (fun e ->
+      let code = Guard_error.exit_code e and cls = Guard_error.class_string e in
+      Alcotest.(check (option int)) (cls ^ ": class string -> code") (Some code)
+        (Guard_error.exit_code_of_class cls);
+      check_int (cls ^ ": error reply -> code") code
+        (Serve_client.reply_exit_code (reply (Serve_protocol.error_payload e))))
+    [
+      Guard_error.Invalid_input "x";
+      Guard_error.Infeasible "x";
+      Guard_error.No_convergence { iters = 3; residual = 1.0 };
+      Guard_error.Deadline_exceeded { budget_s = 1.0; elapsed_s = 2.0 };
+      Guard_error.Solver_fault { solver = "s"; exn = Exit };
+    ];
+  Alcotest.(check (option int)) "unknown class" None (Guard_error.exit_code_of_class "busy");
+  check_int "ok" 0 (Serve_client.reply_exit_code {|{"id":1,"status":"ok"}|});
+  check_int "busy" 7 (Serve_client.reply_exit_code (reply Serve_protocol.busy_payload));
+  check_int "degraded" 7
+    (Serve_client.reply_exit_code (reply (Serve_protocol.degraded_payload ~solver:"s")));
+  check_int "breaker-open class" 7
+    (Serve_client.reply_exit_code {|{"status":"error","class":"breaker-open"}|});
+  check_int "unknown class" 6 (Serve_client.reply_exit_code {|{"status":"error","class":"?"}|});
+  check_int "garbage" 6 (Serve_client.reply_exit_code "not json")
 
-let recv_line fd =
-  let buf = Buffer.create 256 in
-  let b = Bytes.create 1 in
-  let fin = ref false in
-  while not !fin do
-    match Unix.read fd b 0 1 with
-    | 0 -> Alcotest.fail "daemon closed the connection mid-reply"
-    | _ -> if Bytes.get b 0 = '\n' then fin := true else Buffer.add_bytes buf b
-  done;
-  Buffer.contents buf
+let test_soak_counts_degraded_busy () =
+  let reply payload = Serve_protocol.reply_string ~id:(Obs_json.Int 1) payload in
+  let answers =
+    [|
+      {|{"id":1,"status":"ok"}|};
+      reply Serve_protocol.busy_payload;
+      reply (Serve_protocol.degraded_payload ~solver:"s");
+      reply (Serve_protocol.error_payload (Guard_error.Infeasible "x"));
+    |]
+  in
+  let lines = List.init 10 string_of_int in
+  let r =
+    Serve_client.soak ~window:3
+      ~exchange:(List.map (fun l -> answers.(int_of_string l mod 4)))
+      lines
+  in
+  check_int "requests" 10 r.Serve_client.requests;
+  check_int "ok" 3 r.Serve_client.ok;
+  check_int "busy and degraded both count as busy" 5 r.Serve_client.busy;
+  check_int "errors" 2 r.Serve_client.errors;
+  check_bool "every request has a latency" true
+    (r.Serve_client.latency.Streaming_metrics.jobs = 10 && r.Serve_client.recovery = None)
+
+(* ---------------- against a real daemon ---------------- *)
 
 let pasched_exe () =
   (* under `dune runtest` the cwd is _build/default/test (the CLI is a
@@ -989,48 +1048,94 @@ let pasched_exe () =
   | Some p -> p
   | None -> Alcotest.fail "pasched.exe not found next to the test"
 
-let test_disconnect_mid_reply () =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let path = sock_path () in
-  (try Sys.remove path with Sys_error _ -> ());
-  (* the daemon is a child process (no fork: the test binary already
-     runs pool domains); it must outlive a client that hangs up rudely *)
-  let exe = pasched_exe () in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  let pid =
-    Unix.create_process exe
-      [| exe; "serve"; "--socket"; path; "--jobs"; "1"; "--cache"; "8" |]
-      devnull devnull Unix.stderr
+let with_temp_paths f =
+  let tmp what =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "pasched_test_%d_%s" (Unix.getpid ()) what)
   in
-  Unix.close devnull;
-  let reaped = ref false in
-  Fun.protect
-    ~finally:(fun () ->
-      if not !reaped then begin
-        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
-      end;
-      try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
-  wait_ready path 200;
+  let socket = tmp "sock" and cache = tmp "cache" in
+  let clean () = List.iter rm_f [ socket; cache; cache ^ ".journal"; cache ^ ".tmp" ] in
+  clean ();
+  Fun.protect ~finally:clean (fun () -> f ~socket ~cache)
+
+let test_disconnect_mid_reply () =
+  with_temp_paths @@ fun ~socket ~cache:_ ->
+  (* the daemon must outlive a client that hangs up rudely *)
+  Serve_client.with_daemon ~exe:(pasched_exe ()) ~socket [ "--jobs"; "1"; "--cache"; "8" ]
+  @@ fun d ->
   (* rude client: submit real work, vanish before the reply *)
-  let rude = connect path in
-  send_line rude (req ~budget:10.0 jobs3);
-  Unix.close rude;
+  let rude = Serve_client.create socket in
+  Serve_client.send rude [ req ~budget:10.0 jobs3 ];
+  Serve_client.close rude;
   (* polite client: the daemon must still answer, then stop cleanly *)
-  let fd = connect path in
-  send_line fd {|{"id":1,"op":"ping"}|};
+  let polite = Serve_client.create socket in
+  let ask line =
+    match Serve_client.exchange polite [ line ] with
+    | [ r ] -> status_of r
+    | _ -> Alcotest.fail "expected one reply"
+  in
   check_bool "daemon survives the disconnect and still answers" true
-    (status_of (recv_line fd) = Some "ok");
-  send_line fd {|{"id":2,"op":"shutdown"}|};
-  check_bool "shutdown acknowledged" true (status_of (recv_line fd) = Some "ok");
-  Unix.close fd;
-  let _, status = Unix.waitpid [] pid in
-  reaped := true;
-  match status with
+    (ask {|{"id":1,"op":"ping"}|} = Some "ok");
+  check_bool "shutdown acknowledged" true (ask {|{"id":2,"op":"shutdown"}|} = Some "ok");
+  Serve_client.close polite;
+  match Serve_client.reap d with
   | Unix.WEXITED 0 -> ()
   | Unix.WEXITED n -> Alcotest.failf "daemon exited with %d" n
   | Unix.WSIGNALED s | Unix.WSTOPPED s -> Alcotest.failf "daemon killed by signal %d" s
+
+(* [n] requests as `pasched sim --emit-requests 5` emits them *)
+let emitted_requests n =
+  let s =
+    Workload.Stream.make ~seed:3 ~limit:(5 * n)
+      ~size:(Workload.Stream.Pareto { shape = 2.2; scale = 0.5 })
+      (Workload.Stream.Poisson_process 1.0)
+  in
+  let lines = ref [] in
+  Serve_client.emit_requests ~alpha:3.0 ~batch:5 s (fun l -> lines := l :: !lines);
+  List.rev !lines
+
+let test_socket_chaos_soak () =
+  with_temp_paths @@ fun ~socket ~cache ->
+  let lines = emitted_requests 300 in
+  let conn = Serve_client.create socket in
+  Fun.protect ~finally:(fun () -> Serve_client.close conn) @@ fun () ->
+  let exchange =
+    Serve_client.exchange_with_retry ~exchange:(Serve_client.exchange conn)
+      ~backoff:(Serve_client.backoff ~base_ms:20.0 ())
+      ~retries:8
+  in
+  let chaos =
+    {
+      Serve_client.exe = pasched_exe ();
+      socket;
+      serve_args = [ "--cache-file"; cache; "--cache"; "4096"; "--jobs"; "1" ];
+      kill_at = 0.5;
+    }
+  in
+  let r = Serve_client.soak ~window:16 ~chaos ~exchange lines in
+  check_int "every request answered ok across the kill" 300 r.Serve_client.ok;
+  check_int "no busy" 0 r.Serve_client.busy;
+  check_int "no errors" 0 r.Serve_client.errors;
+  (match r.Serve_client.recovery with
+  | None -> Alcotest.fail "a chaos soak reports its recovery"
+  | Some c ->
+    check_int "killed at half the windows" 9 c.Serve_client.killed_window;
+    check_bool "pre-kill cache was populated" true (c.Serve_client.pre_cache > 0);
+    check_bool "warm fraction >= 0.9" true (c.Serve_client.warm_fraction >= 0.9);
+    check_int "no corrupt journal lines" 0 c.Serve_client.skipped_corrupt;
+    check_bool "pre-kill requests were rechecked" true (c.Serve_client.recheck > 0);
+    check_int "rechecked replies byte-identical" 0 c.Serve_client.mismatches);
+  check_bool "the restarted daemon was stopped (it unlinks its socket)" false
+    (Sys.file_exists socket);
+  (* a drill that dies mid-run still kills and reaps its daemon *)
+  check_bool "the failure propagates" true
+    (match Serve_client.soak ~window:16 ~chaos ~exchange:(fun _ -> failwith "boom") lines with
+    | exception Failure _ -> true
+    | _ -> false);
+  check_bool "nothing answers on the socket afterwards" true
+    (match Serve_client.exchange (Serve_client.create socket) [ {|{"op":"ping"}|} ] with
+    | exception (Failure _ | Unix.Unix_error _) -> true
+    | _ -> false)
 
 let () =
   Alcotest.run "serve"
@@ -1101,6 +1206,13 @@ let () =
           Alcotest.test_case "retry-bounds" `Quick test_retry_bounds;
           Alcotest.test_case "retry-transient" `Quick test_retry_transient_classifier;
           Alcotest.test_case "disconnect-mid-reply" `Quick test_disconnect_mid_reply;
+        ] );
+      ( "client",
+        [
+          Alcotest.test_case "retry-fake-exchange" `Quick test_retry_fake_exchange;
+          Alcotest.test_case "exit-codes" `Quick test_exit_codes;
+          Alcotest.test_case "soak-degraded-is-busy" `Quick test_soak_counts_degraded_busy;
+          Alcotest.test_case "socket-chaos-soak" `Quick test_socket_chaos_soak;
         ] );
       ( "engine-pool",
         [
